@@ -18,8 +18,8 @@ from repro.reporting import Table
 from repro.traffic import (
     ImixSize,
     TrafficGenerator,
-    load_trace,
     replay,
+    stream_trace,
     trace_to_string,
     uniform_matrix,
 )
@@ -38,7 +38,7 @@ def main() -> None:
         size_dist=ImixSize(),
         seed=31,
     )
-    csv_text = trace_to_string(generator.generate(duration_ns))
+    csv_text = trace_to_string(generator.materialize(duration_ns))
     print(f"Serialised trace: {len(csv_text.splitlines()) - 1} packets, "
           f"{len(csv_text) / 1024:.0f} KB of CSV\n")
 
@@ -48,7 +48,14 @@ def main() -> None:
         ["time scale", "offered", "delivered", "mean latency", "p99"],
     )
     for scale in (1.0, 1.5, 3.0):
-        packets = replay(load_trace(io.StringIO(csv_text)), time_scale=scale)
+        packets = replay(
+            [
+                packet
+                for block in stream_trace(io.StringIO(csv_text))
+                for packet in block.to_packets()
+            ],
+            time_scale=scale,
+        )
         horizon = duration_ns * scale
         fib = fib_matching_generator(config.n_ports)
         switch = HBMSwitch(config, PFIOptions(padding=True, bypass=True), fib=fib)

@@ -13,6 +13,7 @@ Run:  python examples/failure_modularity.py
 from repro.analysis import degradation_curve, modular_deployments
 from repro.config import reference_router, scaled_router
 from repro.core import PFIOptions, SplitParallelSwitch
+from repro.faults import FaultSchedule
 from repro.reporting import Table
 from repro.traffic import FixedSize, TrafficGenerator, uniform_matrix
 from repro.units import format_rate
@@ -51,7 +52,7 @@ def simulated_failure() -> None:
         seed=11,
         flows_per_pair=256,
     )
-    packets = generator.generate(duration_ns)
+    packets = generator.materialize(duration_ns)
 
     healthy = SplitParallelSwitch(
         config, options=PFIOptions(padding=True, bypass=True)
@@ -65,10 +66,13 @@ def simulated_failure() -> None:
         size_dist=FixedSize(1500),
         seed=11,
         flows_per_pair=256,
-    ).generate(duration_ns)
+    ).materialize(duration_ns)
     degraded = SplitParallelSwitch(
         config, options=PFIOptions(padding=True, bypass=True)
-    ).run(packets2, duration_ns, failed_switches=[2])
+    ).run(
+        packets2, duration_ns,
+        fault_schedule=FaultSchedule.from_failed_switches([2]),
+    )
 
     table = Table("Switch 2 of 4 fails (simulated)", ["metric", "healthy", "degraded"])
     table.add("delivery", f"{healthy.delivery_fraction:.1%}", f"{degraded.delivery_fraction:.1%}")

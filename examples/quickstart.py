@@ -36,7 +36,7 @@ def main() -> None:
         seed=7,
         flows_per_pair=256,
     )
-    packets = generator.generate(duration_ns)
+    packets = generator.materialize(duration_ns)
     fibers = assign_fibers(packets, config.fibers_per_ribbon)
     print(f"\nGenerated {len(packets)} packets over {format_time(duration_ns)}")
 

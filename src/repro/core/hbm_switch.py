@@ -31,7 +31,7 @@ from .address import HBMAddressMap
 from .frames import Frame
 from .head_sram import HeadSRAM
 from .input_port import InputPort
-from .output_port import OutputPort
+from .output_port import BREAKDOWN_STAGES, OutputPort
 from .pfi import PFICounters, PFIEngine, PFIOptions
 from .tail_sram import TailSRAM
 
@@ -100,7 +100,7 @@ class HBMSwitch:
         self.config = config
         self.options = options
         self.timing = timing if timing is not None else HBMTiming()
-        self.engine = Engine()
+        self.engine = Engine(arrival_handler=self._on_packet)
         self.inputs = [
             InputPort(config, i, input_sram_capacity) for i in range(config.n_ports)
         ]
@@ -369,8 +369,8 @@ class HBMSwitch:
         arrivals) until the switch empties or ``max_drain_ns`` passes,
         so latency statistics cover every delivered packet.
 
-        Arrivals are scheduled in the arrival priority class (see
-        :meth:`~repro.sim.engine.Engine.schedule_arrival`) in both this
+        Arrivals go through the engine's arrival cursor (see
+        :meth:`~repro.sim.engine.Engine.offer_arrivals`) in both this
         eager path and the streaming one, so same-instant ties resolve
         identically whichever path ran.
         """
@@ -384,35 +384,32 @@ class HBMSwitch:
     def stream_begin(self) -> None:
         """Start the PFI engine ahead of block-by-block ingest.
 
-        The eager path schedules every arrival before ``pfi.start()``;
-        starting first is safe here because arrivals outrank the PFI's
-        internal events at equal timestamps (priority classes), so the
-        event order is identical either way.
+        The eager path offers every arrival before ``pfi.start()``;
+        starting first is safe here because arrivals fire before the
+        PFI's internal events at equal timestamps (the engine's arrival
+        cursor), so the event order is identical either way.
         """
         self.pfi.start()
 
     def stream_offer(self, packets: Sequence[Packet], duration_ns: float) -> None:
-        """Schedule one block's arrivals (those inside ``[0, duration_ns)``).
+        """Offer one block's arrivals (those inside ``[0, duration_ns)``).
 
-        Blocks must be fed in time order; an arrival before the
-        engine's current time raises
-        :class:`~repro.errors.SimulationError`.
+        The packets go to the engine's arrival cursor in one call; each
+        fires as a bare packet into :meth:`_on_packet`.  An arrival
+        before the engine's current time raises
+        :class:`~repro.errors.SimulationError` and offers nothing.
         """
-        for packet in packets:
-            if packet.arrival_ns >= duration_ns:
-                continue
-            self._offered_bytes += packet.size_bytes
-            self._offered_packets += 1
-            self.engine.schedule_arrival(
-                packet.arrival_ns, lambda p=packet: self._on_packet(p)
-            )
+        arrivals = [(p.arrival_ns, p) for p in packets if p.arrival_ns < duration_ns]
+        self.engine.offer_arrivals(arrivals)
+        self._offered_bytes += sum(p.size_bytes for _, p in arrivals)
+        self._offered_packets += len(arrivals)
 
     def stream_advance(self, until: float) -> None:
         """Run the pipeline up to -- but excluding -- ``until``.
 
         Events at exactly ``until`` stay queued: the next block may
-        carry arrivals at that instant, and they must enter the heap
-        before the boundary's internal events fire so priority ordering
+        carry arrivals at that instant, and they must be offered before
+        the boundary's internal events fire so the arrivals-first order
         matches the eager run.
         """
         self.engine.run(until=until, inclusive=False)
@@ -509,7 +506,7 @@ class HBMSwitch:
         # NaN); a stage with no samples anywhere reports NaN, not a
         # fake 0.0.
         breakdown: Dict[str, float] = {}
-        for stage in ("batch_fill", "frame_fill", "hbm_wait", "egress"):
+        for stage in BREAKDOWN_STAGES:
             total = sum(
                 o.breakdown[stage].mean * len(o.breakdown[stage])
                 for o in self.outputs

@@ -27,6 +27,7 @@ from ..hbm.timing import HBMTiming
 from ..photonics.oeo import OEOConverter
 from ..sim.parallel import SwitchWorkUnit, execute_work_unit, run_work_units
 from ..traffic.ecmp import hash_to_choice
+from ..traffic.flows import FiveTuple
 from ..traffic.packet import Packet
 from ..units import bytes_per_ns_to_rate
 from .fiber_split import FiberSplitter, PseudoRandomSplitter, split_imbalance
@@ -70,7 +71,16 @@ def assign_fibers(packets: Sequence[Packet], n_fibers: int, salt: int = 0xECA) -
     """
     if n_fibers <= 0:
         raise ConfigError(f"n_fibers must be positive, got {n_fibers}")
-    return [hash_to_choice(p.flow, n_fibers, salt) for p in packets]
+    # Packets of a flow repeat its hash: compute it once per flow.
+    memo: Dict[FiveTuple, int] = {}
+    fibers = []
+    for packet in packets:
+        flow = packet.flow
+        fiber = memo.get(flow)
+        if fiber is None:
+            fiber = memo[flow] = hash_to_choice(flow, n_fibers, salt)
+        fibers.append(fiber)
+    return fibers
 
 
 @dataclass

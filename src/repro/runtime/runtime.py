@@ -25,7 +25,10 @@ resumed and cached runs of the same grid serialise byte-identically.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
+from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
@@ -34,15 +37,38 @@ from .cache import ResultCache
 from .scenario import Scenario, execute_scenario
 
 
+def source_digest(root) -> str:
+    """sha256 over every ``*.py`` file under ``root``: each file's
+    relative path and bytes, in sorted path order."""
+    root = Path(root)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _package_digest() -> str:
+    """The installed package's source digest (computed once per process)."""
+    return source_digest(Path(__file__).resolve().parents[1])
+
+
 def default_code_version() -> str:
     """The code-version component of every cache key.
 
-    The package version by default; ``REPRO_CODE_VERSION`` overrides it
-    (CI jobs stamp a commit hash so caches never leak across revisions).
+    The package version plus the first 16 hex digits of
+    :func:`source_digest` over the package's own sources, so any edit
+    to the code misses every cached cell instead of returning a stale
+    payload.  ``REPRO_CODE_VERSION`` overrides it (CI jobs stamp a
+    commit hash so caches never leak across revisions).
     """
     from .. import __version__  # deferred: repro/__init__ imports this module
 
-    return os.environ.get("REPRO_CODE_VERSION", "").strip() or __version__
+    override = os.environ.get("REPRO_CODE_VERSION", "").strip()
+    return override or f"{__version__}-{_package_digest()[:16]}"
 
 
 def parse_shard(text: Optional[str]) -> Optional[Tuple[int, int]]:

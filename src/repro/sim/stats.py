@@ -110,6 +110,45 @@ class LatencyRecorder:
             if slot < self._capacity:
                 self._samples[slot] = latency_ns
 
+    def extend(self, latencies_ns) -> None:
+        """Record a sequence of samples, in order (bulk :meth:`record`).
+
+        Bit-identical to one :meth:`record` call per sample: the
+        retained samples are the same Python floats, the running sum
+        folds left to right, and a capped recorder draws the same
+        reservoir slots from its random stream.  A negative sample
+        raises ``ValueError`` and records nothing.
+        """
+        values = np.asarray(latencies_ns, dtype=np.float64)
+        n = len(values)
+        if n == 0:
+            return
+        high, low = float(values.max()), float(values.min())
+        if low < 0:
+            bad = float(values[np.argmax(values < 0)])
+            raise ValueError(f"negative latency {bad:.3f} ns")
+        # cumsum adds strictly left to right, like repeated ``+=``.
+        self._sum = float(np.cumsum(np.concatenate(([self._sum], values)))[-1])
+        if high > self._max:
+            self._max = high
+        if low < self._min:
+            self._min = low
+        samples = values.tolist()
+        if self._capacity is None:
+            self._count += n
+            self._samples.extend(samples)
+            return
+        room = max(0, self._capacity - len(self._samples))
+        self._samples.extend(samples[:room])
+        self._count += min(room, n)
+        randrange = self._random.randrange
+        for sample in samples[room:]:
+            # Algorithm R, exactly as in record().
+            self._count += 1
+            slot = randrange(self._count)
+            if slot < self._capacity:
+                self._samples[slot] = sample
+
     def absorb(self, other: "LatencyRecorder") -> None:
         """Merge ``other``'s samples into this recorder.
 

@@ -9,14 +9,21 @@ Two places in the paper hash flows across parallel lanes:
   wavelengths of its ribbon (SS 3.2 step 6).
 
 Both use the same primitive: a salted, flow-stable hash mapped to one of
-``n`` choices.
+``n`` choices.  Both run once per packet while flows come from small
+pools, so their callers memoise the choice per flow in a dict keyed by
+the flow (never state stored on the frozen
+:class:`~repro.traffic.flows.FiveTuple`).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .flows import FiveTuple
+
+#: Flows an :class:`EcmpSelector` remembers before it starts over;
+#: bounds memory on long streamed runs, whose flows never repeat.
+MEMO_FLOWS = 1 << 16
 
 
 def hash_to_choice(flow: FiveTuple, n_choices: int, salt: int = 0) -> int:
@@ -46,6 +53,7 @@ class EcmpSelector:
         self._n_fibers = n_fibers
         self._n_wavelengths = n_wavelengths
         self._salt = salt
+        self._lanes: Dict[FiveTuple, Tuple[int, int]] = {}
 
     @property
     def n_lanes(self) -> int:
@@ -53,8 +61,14 @@ class EcmpSelector:
 
     def select(self, flow: FiveTuple) -> Tuple[int, int]:
         """Return the (fiber, wavelength) lane for ``flow``."""
-        lane = hash_to_choice(flow, self.n_lanes, self._salt)
-        return lane // self._n_wavelengths, lane % self._n_wavelengths
+        lane = self._lanes.get(flow)
+        if lane is None:
+            if len(self._lanes) >= MEMO_FLOWS:
+                self._lanes.clear()
+            index = hash_to_choice(flow, self.n_lanes, self._salt)
+            lane = (index // self._n_wavelengths, index % self._n_wavelengths)
+            self._lanes[flow] = lane
+        return lane
 
     def lane_loads(self, flows_with_bytes) -> "dict[Tuple[int, int], int]":
         """Aggregate bytes per lane for a ``(flow, bytes)`` iterable.

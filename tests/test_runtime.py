@@ -26,6 +26,7 @@ from repro.runtime import (
     ResultCache,
     Runtime,
     Scenario,
+    default_code_version,
     parse_shard,
     payload_checksum,
     run,
@@ -461,3 +462,77 @@ class TestFacade:
         assert repro.Scenario is Scenario
         assert repro.Runtime is Runtime
         assert repro.run is run
+
+
+class TestCodeVersion:
+    """The default code version follows the package's source bytes."""
+
+    def test_override_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CODE_VERSION", "rev-x")
+        assert default_code_version() == "rev-x"
+
+    def test_default_is_version_plus_source_digest(self, monkeypatch):
+        from pathlib import Path
+
+        from repro import __version__
+
+        monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
+        package = Path(runtime_module.__file__).resolve().parents[1]
+        expected = f"{__version__}-{runtime_module.source_digest(package)[:16]}"
+        assert default_code_version() == expected
+
+    def test_digest_covers_paths_and_bytes(self, tmp_path):
+        (tmp_path / "a.py").write_text("x = 1\n")
+        (tmp_path / "notes.txt").write_text("ignored")
+        before = runtime_module.source_digest(tmp_path)
+        (tmp_path / "notes.txt").write_text("still ignored")
+        assert runtime_module.source_digest(tmp_path) == before
+        (tmp_path / "a.py").rename(tmp_path / "b.py")
+        renamed = runtime_module.source_digest(tmp_path)
+        assert renamed != before
+        (tmp_path / "b.py").write_text("x = 2\n")
+        assert runtime_module.source_digest(tmp_path) != renamed
+
+    def test_edited_source_tree_misses_the_cache(self, tmp_path):
+        """A copy of the package, run twice against one cache: an
+        unchanged tree hits, an edited tree misses."""
+        import os
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        package = Path(runtime_module.__file__).resolve().parents[1]
+        tree = tmp_path / "src"
+        shutil.copytree(
+            package, tree / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        cache_dir = tmp_path / "cache"
+        script = (
+            "import json\n"
+            "from repro.config import scaled_router\n"
+            "from repro.runtime import Runtime, switch_scenario\n"
+            "scenario = switch_scenario(scaled_router().switch, load=0.5,"
+            " duration_ns=1_000.0)\n"
+            f"runtime = Runtime(cache_dir={str(cache_dir)!r})\n"
+            "runtime.run(scenario)\n"
+            "print(json.dumps(runtime.cache.stats()))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_CODE_VERSION"}
+        env["PYTHONPATH"] = str(tree)
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+
+        def run_copy():
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, cwd=tmp_path,
+                capture_output=True, text=True, check=True,
+            ).stdout
+            return json.loads(out.strip().splitlines()[-1])
+
+        assert run_copy()["misses"] == 1
+        assert run_copy()["hits"] == 1
+        with open(tree / "repro" / "units.py", "a") as handle:
+            handle.write("\n# an edit that changes no behaviour\n")
+        edited = run_copy()
+        assert edited["hits"] == 0 and edited["misses"] == 1

@@ -124,3 +124,59 @@ class TestDropCounter:
 
     def test_clean_counter(self):
         assert not DropCounter().any
+
+
+class TestLatencyRecorderExtend:
+    """Bulk ``extend`` is bit-identical to per-sample ``record``."""
+
+    @staticmethod
+    def _samples(n=3000, seed=9):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        values = rng.exponential(250.0, n)
+        values[::97] = 0.0
+        return values.tolist()
+
+    @staticmethod
+    def _state(rec):
+        return (
+            rec.samples,
+            len(rec),
+            rec.mean,
+            rec.percentile(50),
+            rec.percentile(99),
+            rec.minimum,
+            rec.maximum,
+            rec._sum,
+        )
+
+    @pytest.mark.parametrize("capacity", [None, 256])
+    def test_matches_per_sample_record(self, capacity):
+        values = self._samples()
+        one_by_one = LatencyRecorder(capacity=capacity, seed=4)
+        for value in values:
+            one_by_one.record(value)
+        bulk = LatencyRecorder(capacity=capacity, seed=4)
+        # Uneven chunks: the result must not depend on how it is fed.
+        for lo, hi in ((0, 1), (1, 200), (200, 201), (201, 2500), (2500, 3000)):
+            bulk.extend(values[lo:hi])
+        bulk.extend([])
+        assert self._state(bulk) == self._state(one_by_one)
+        assert all(type(sample) is float for sample in bulk.samples)
+
+    def test_capped_reservoir_draws_the_same_random_sequence(self):
+        values = self._samples(n=1000)
+        a = LatencyRecorder(capacity=100, seed=1)
+        b = LatencyRecorder(capacity=100, seed=1)
+        for value in values:
+            a.record(value)
+        b.extend(values)
+        assert a._random.random() == b._random.random()
+
+    def test_negative_sample_raises_and_records_nothing(self):
+        rec = LatencyRecorder()
+        rec.extend([1.0, 2.0])
+        with pytest.raises(ValueError, match="negative latency"):
+            rec.extend([3.0, -1.0, 4.0])
+        assert rec.samples == [1.0, 2.0] and len(rec) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.traffic import EcmpSelector, FiveTuple, FlowGenerator, hash_to_choice
+from repro.traffic import ecmp
 
 
 class TestHashToChoice:
@@ -52,6 +53,17 @@ class TestEcmpSelector:
     def test_validation(self):
         with pytest.raises(ValueError):
             EcmpSelector(0, 16)
+
+    def test_memoised_lanes_match_the_hash(self, monkeypatch):
+        # A memo bounded to 3 flows starts over while 10 flows cycle
+        # through it twice; every answer is still the hash's.
+        monkeypatch.setattr(ecmp, "MEMO_FLOWS", 3)
+        selector = EcmpSelector(4, 16)
+        flows = [FiveTuple(i, 2 * i, 1000 + i, 443) for i in range(10)]
+        for flow in flows + flows:
+            lane = hash_to_choice(flow, 64, salt=0x5B5)
+            assert selector.select(flow) == (lane // 16, lane % 16)
+        assert len(selector._lanes) <= 3
 
     def test_lane_loads_even_out(self):
         # SS 4: hashing across fibers leads to even loads (E10's mechanism).
