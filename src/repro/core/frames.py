@@ -95,6 +95,13 @@ class BatchAssembler:
                 f"packet for output {packet.output_port} fed to assembler "
                 f"for output {self.output}"
             )
+        fill = self._fill + packet.size_bytes
+        if fill < self.batch_bytes:
+            # The common case: the packet completes inside the
+            # still-forming batch and emits nothing.
+            self._fill = fill
+            self._completing.append(packet)
+            return []
         emitted: List[Batch] = []
         remaining = packet.size_bytes
         while remaining > 0:

@@ -167,7 +167,9 @@ class HBMSwitch:
     # -- stage plumbing -------------------------------------------------------
 
     def _on_packet(self, packet: Packet) -> None:
-        now = self.engine.now
+        # The arrival cursor fires each packet at its own arrival time,
+        # so the packet carries the engine's clock.
+        now = packet.arrival_ns
         if self.faults is not None and self.faults.dead_at(now):
             # The switch is down: the arrival is lost at the (dead)
             # input port.  Recorded as a drop, never as residual, so
@@ -186,38 +188,38 @@ class HBMSwitch:
                 self._observe_drop("no-route", packet, now)
                 return
             packet.output_port = output
-        port = self.inputs[packet.input_port]
-        dropped_before = port.drops.dropped_bytes
-        emitted = port.on_packet(packet, now)
-        if port.drops.dropped_bytes == dropped_before:
-            self._residual_payload += packet.size_bytes
-            if self.telemetry is not None:
-                self.telemetry.packets_in.inc()
-                self.telemetry.bytes_in.inc(packet.size_bytes)
-                # One O/E conversion per packet: serialisation at the
-                # port rate (the SPS single-conversion property).
-                self.telemetry.oeo.observe(
-                    packet.size_bytes * self._oeo_ns_per_byte
-                )
-                self.telemetry.win_bytes_in.observe(now, packet.size_bytes)
-                self.telemetry.win_occupancy.observe(now, self._residual_payload)
-        else:
+        port = packet.input_port
+        emitted = self.inputs[port].on_packet(packet, now)
+        if emitted is None:
             self._observe_drop("input-sram-overflow", packet, now)
+            return
+        self._residual_payload += packet.size_bytes
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.packets_in.inc()
+            telemetry.bytes_in.inc(packet.size_bytes)
+            # One O/E conversion per packet: serialisation at the
+            # port rate (the SPS single-conversion property).
+            telemetry.oeo.observe(packet.size_bytes * self._oeo_ns_per_byte)
+            telemetry.win_bytes_in.observe(now, packet.size_bytes)
+            telemetry.win_occupancy.observe(now, self._residual_payload)
+        if not emitted:
+            return
         for batch in emitted:
-            if self.telemetry is not None:
+            if telemetry is not None:
                 # Batch aggregation wait: first completing packet's
                 # arrival to batch emission (0 for pure-straddle batches
                 # that complete no packet).
                 wait = now - batch.completing[0].arrival_ns if batch.completing else 0.0
-                self.telemetry.batch.observe(max(0.0, wait))
+                telemetry.batch.observe(max(0.0, wait))
             if self.trace is not None:
                 self.trace.record(
                     now, "switch", "batch_formed",
-                    input=packet.input_port, output=batch.output,
+                    input=port, output=batch.output,
                     payload=batch.payload_bytes, packets=len(batch.completing),
                 )
-        if emitted and not self._draining[packet.input_port]:
-            self._schedule_drain(packet.input_port, now)
+        if not self._draining[port]:
+            self._schedule_drain(port, now)
 
     def _observe_drop(self, reason: str, packet: Packet, now: float) -> None:
         """Telemetry/trace for one dropped packet (cold path)."""
@@ -399,9 +401,16 @@ class HBMSwitch:
         before the engine's current time raises
         :class:`~repro.errors.SimulationError` and offers nothing.
         """
-        arrivals = [(p.arrival_ns, p) for p in packets if p.arrival_ns < duration_ns]
+        arrivals = []
+        append = arrivals.append
+        offered = 0
+        for packet in packets:
+            time = packet.arrival_ns
+            if time < duration_ns:
+                append((time, packet))
+                offered += packet.size_bytes
         self.engine.offer_arrivals(arrivals)
-        self._offered_bytes += sum(p.size_bytes for _, p in arrivals)
+        self._offered_bytes += offered
         self._offered_packets += len(arrivals)
 
     def stream_advance(self, until: float) -> None:
@@ -539,9 +548,9 @@ class HBMSwitch:
             latency_breakdown=breakdown,
             ordering_violations=sum(o.ordering_violations for o in self.outputs),
             pfi=self.pfi.counters,
-            input_sram_peak_bytes=int(max(p.occupancy.peak for p in self.inputs)),
-            tail_sram_peak_bytes=int(self.tail.occupancy.peak),
-            head_sram_peak_bytes=int(self.head.occupancy.peak),
+            input_sram_peak_bytes=max(p.peak_bytes for p in self.inputs),
+            tail_sram_peak_bytes=self.tail.peak_bytes,
+            head_sram_peak_bytes=self.head.peak_bytes,
             hbm_peak_frames=self._hbm_peak_frames,
             drops_by_reason=drops_by_reason,
         )
@@ -551,9 +560,9 @@ class HBMSwitch:
         registry = self.telemetry.registry
         label = str(self.telemetry.switch)
         peaks = {
-            "input_sram": max(p.occupancy.peak for p in self.inputs),
-            "tail_sram": self.tail.occupancy.peak,
-            "head_sram": self.head.occupancy.peak,
+            "input_sram": max(p.peak_bytes for p in self.inputs),
+            "tail_sram": self.tail.peak_bytes,
+            "head_sram": self.head.peak_bytes,
         }
         for stage, peak in peaks.items():
             registry.gauge(

@@ -14,7 +14,6 @@ from typing import Deque, List, Optional
 
 from ..config import HBMSwitchConfig
 from ..errors import ConfigError
-from ..sim.stats import OccupancyTracker
 from .frames import Frame
 
 
@@ -25,7 +24,9 @@ class HeadSRAM:
         self.config = config
         self._queues: List[Deque[Frame]] = [deque() for _ in range(config.n_ports)]
         self._bytes = 0
-        self.occupancy = OccupancyTracker()
+        #: High-water mark of :attr:`occupancy_bytes`, updated only
+        #: where occupancy grows: an accepted frame.
+        self.peak_bytes = 0
 
     @property
     def occupancy_bytes(self) -> int:
@@ -40,7 +41,8 @@ class HeadSRAM:
         self._check(frame.output)
         self._queues[frame.output].append(frame)
         self._bytes += frame.size_bytes
-        self.occupancy.observe(self._bytes, now)
+        if self._bytes > self.peak_bytes:
+            self.peak_bytes = self._bytes
 
     def pop_frame(self, output: int, now: float) -> Optional[Frame]:
         """Next frame for ``output`` to transmit, FIFO order."""
@@ -49,7 +51,6 @@ class HeadSRAM:
             return None
         frame = self._queues[output].popleft()
         self._bytes -= frame.size_bytes
-        self.occupancy.observe(self._bytes, now)
         return frame
 
     def payload_backlog_bytes(self) -> int:

@@ -8,7 +8,9 @@ cyclical crossbar.
 
 The SRAM is finite: when a packet would push the port's occupancy past
 ``sram_capacity_bytes`` it is dropped (tail-drop), which is how the
-simulator surfaces overload instead of buffering infinitely.
+simulator surfaces overload instead of buffering infinitely.  The
+port's high-water mark (:attr:`InputPort.peak_bytes`) is updated only
+where occupancy grows: an accepted packet and a padding flush.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from ..config import HBMSwitchConfig
-from ..sim.stats import DropCounter, OccupancyTracker
+from ..sim.stats import DropCounter
 from ..traffic.packet import Packet
 from .frames import Batch, BatchAssembler
 
@@ -43,7 +45,8 @@ class InputPort:
         ]
         self.fifo: Deque[Batch] = deque()
         self.drops = DropCounter()
-        self.occupancy = OccupancyTracker()
+        #: High-water mark of :attr:`occupancy_bytes`.
+        self.peak_bytes = 0
         self._fifo_bytes = 0
         # Maintained at enqueue/dequeue time so the occupancy check in
         # on_packet (and the switch's residual accounting) is O(1)
@@ -67,24 +70,30 @@ class InputPort:
 
     # -- dataplane ---------------------------------------------------------------
 
-    def on_packet(self, packet: Packet, now: float) -> List[Batch]:
-        """Accept one packet; returns batches completed by it.
+    def on_packet(self, packet: Packet, now: float) -> Optional[List[Batch]]:
+        """Accept one packet; returns the batches completed by it.
 
         Completed batches are also appended to :attr:`fifo`; the switch
         schedules the crossbar drain.  An overflowing packet is dropped
-        whole (no partial admission).
+        whole (no partial admission) and the call returns ``None``.
         """
-        if packet.size_bytes + self.occupancy_bytes > self.sram_capacity_bytes:
-            self.drops.record(packet.size_bytes, reason="input-sram-overflow")
-            return []
-        assembler = self._assemblers[packet.output_port]
-        fill_before = assembler.fill_bytes
-        emitted = assembler.add(packet, now)
-        self._partial_bytes += assembler.fill_bytes - fill_before
-        for batch in emitted:
-            self.fifo.append(batch)
-            self._fifo_bytes += batch.size_bytes
-        self.occupancy.observe(self.occupancy_bytes, now)
+        size = packet.size_bytes
+        occupancy = self._partial_bytes + self._fifo_bytes + size
+        if occupancy > self.sram_capacity_bytes:
+            self.drops.record(size, reason="input-sram-overflow")
+            return None
+        emitted = self._assemblers[packet.output_port].add(packet, now)
+        if emitted:
+            # Emitted batches are full (no padding): their bytes move
+            # from the partial batches to the FIFO.
+            moved = len(emitted) * self.config.batch_bytes
+            self.fifo.extend(emitted)
+            self._fifo_bytes += moved
+            self._partial_bytes += size - moved
+        else:
+            self._partial_bytes += size
+        if occupancy > self.peak_bytes:
+            self.peak_bytes = occupancy
         return emitted
 
     def pop_batch(self, now: float) -> Optional[Batch]:
@@ -93,7 +102,6 @@ class InputPort:
             return None
         batch = self.fifo.popleft()
         self._fifo_bytes -= batch.size_bytes
-        self.occupancy.observe(self.occupancy_bytes, now)
         return batch
 
     def flush_partials(self, now: float) -> List[Batch]:
@@ -107,6 +115,6 @@ class InputPort:
                 self.fifo.append(batch)
                 self._fifo_bytes += batch.size_bytes
                 flushed.append(batch)
-        if flushed:
-            self.occupancy.observe(self.occupancy_bytes, now)
+        if flushed and self.occupancy_bytes > self.peak_bytes:
+            self.peak_bytes = self.occupancy_bytes
         return flushed

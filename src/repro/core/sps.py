@@ -73,13 +73,15 @@ def assign_fibers(packets: Sequence[Packet], n_fibers: int, salt: int = 0xECA) -
         raise ConfigError(f"n_fibers must be positive, got {n_fibers}")
     # Packets of a flow repeat its hash: compute it once per flow.
     memo: Dict[FiveTuple, int] = {}
+    lookup = memo.get
     fibers = []
+    append = fibers.append
     for packet in packets:
         flow = packet.flow
-        fiber = memo.get(flow)
+        fiber = lookup(flow)
         if fiber is None:
             fiber = memo[flow] = hash_to_choice(flow, n_fibers, salt)
-        fibers.append(fiber)
+        append(fiber)
     return fibers
 
 
@@ -274,8 +276,18 @@ class SplitParallelSwitch:
         if len(packets) != len(fibers):
             raise ConfigError("packets and fibers must align")
         per_switch: List[List[Packet]] = [[] for _ in range(self.config.n_switches)]
+        # switch_for's lookup and range checks, on local state.
+        appends = [queue.append for queue in per_switch]
+        assignments = self._assignments
+        n_ribbons = self.config.n_ribbons
+        n_fibers = self.config.fibers_per_ribbon
         for packet, fiber in zip(packets, fibers):
-            per_switch[self.switch_for(packet.input_port, fiber)].append(packet)
+            ribbon = packet.input_port
+            if not 0 <= ribbon < n_ribbons:
+                raise ConfigError(f"ribbon {ribbon} out of range")
+            if not 0 <= fiber < n_fibers:
+                raise ConfigError(f"fiber {fiber} out of range")
+            appends[assignments[ribbon][fiber]](packet)
         return per_switch
 
     def run(

@@ -20,7 +20,7 @@ from typing import Deque, Optional
 
 from ..config import HBMSwitchConfig
 from ..errors import ConfigError
-from ..sim.stats import DropCounter, OccupancyTracker
+from ..sim.stats import DropCounter
 from .frames import Batch, Frame, FrameAssembler
 
 
@@ -45,7 +45,9 @@ class TailSRAM:
         self.frame_fifo: Deque[Frame] = deque()
         self._fifo_bytes = 0
         self.drops = DropCounter()
-        self.occupancy = OccupancyTracker()
+        #: High-water mark of :attr:`occupancy_bytes`, updated only
+        #: where occupancy grows: an accepted batch.
+        self.peak_bytes = 0
         # Maintained at enqueue/dequeue time: the capacity check in
         # on_batch runs per batch and must not rescan N assemblers.
         self._pending_bytes = 0
@@ -68,17 +70,23 @@ class TailSRAM:
 
     def on_batch(self, batch: Batch, now: float) -> Optional[Frame]:
         """Accept a batch from the crossbar; returns a frame if one completed."""
-        if batch.size_bytes + self.occupancy_bytes > self.capacity_bytes:
+        occupancy = self._pending_bytes + self._fifo_bytes
+        if batch.size_bytes + occupancy > self.capacity_bytes:
             self.drops.record(batch.payload_bytes, reason="tail-sram-overflow")
             return None
         assembler = self._assemblers[batch.output]
-        pending_before = assembler.pending_bytes
         frame = assembler.add(batch, now)
-        self._pending_bytes += assembler.pending_bytes - pending_before
-        if frame is not None:
+        if frame is None:
+            self._pending_bytes += assembler.batch_bytes
+        else:
+            # The frame takes this output's pending batches, the new
+            # one included, from the assembler to the FIFO.
+            self._pending_bytes -= frame.size_bytes - assembler.batch_bytes
             self.frame_fifo.append(frame)
             self._fifo_bytes += frame.size_bytes
-        self.occupancy.observe(self.occupancy_bytes, now)
+        occupancy = self._pending_bytes + self._fifo_bytes
+        if occupancy > self.peak_bytes:
+            self.peak_bytes = occupancy
         return frame
 
     def pop_frame(self, now: float) -> Optional[Frame]:
@@ -87,7 +95,6 @@ class TailSRAM:
             return None
         frame = self.frame_fifo.popleft()
         self._fifo_bytes -= frame.size_bytes
-        self.occupancy.observe(self.occupancy_bytes, now)
         return frame
 
     def pop_frame_for(self, output: int, now: float) -> Optional[Frame]:
@@ -101,7 +108,6 @@ class TailSRAM:
             if frame.output == output:
                 del self.frame_fifo[position]
                 self._fifo_bytes -= frame.size_bytes
-                self.occupancy.observe(self.occupancy_bytes, now)
                 return frame
         return None
 
@@ -118,7 +124,6 @@ class TailSRAM:
         frame = assembler.flush(now)
         if frame is not None:
             self._pending_bytes -= pending_before
-            self.occupancy.observe(self.occupancy_bytes, now)
         return frame
 
     def has_data_for(self, output: int) -> bool:

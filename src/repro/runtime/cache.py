@@ -33,10 +33,31 @@ from typing import Any, Dict, Optional
 CACHE_SCHEMA = "repro-cache-v1"
 
 
+def _canonical(obj: Any) -> str:
+    """Canonical JSON text: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def payload_checksum(payload: Dict[str, Any]) -> str:
     """sha256 of the canonical payload JSON."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(_canonical(payload))
+
+
+def _entry_text(envelope: Dict[str, Any], payload_text: str) -> str:
+    """Canonical JSON of ``envelope`` plus a ``"payload"`` member whose
+    canonical text is already known.
+
+    The same text :func:`_canonical` gives for the whole entry, with the
+    payload -- by far its largest member -- encoded only once.
+    """
+    members = {key: _canonical(value) for key, value in envelope.items()}
+    members["payload"] = payload_text
+    body = ",".join(f"{json.dumps(key)}:{members[key]}" for key in sorted(members))
+    return "{" + body + "}"
 
 
 def _safe_component(text: str) -> str:
@@ -127,22 +148,24 @@ class ResultCache:
         """Atomically persist one cell; returns the entry path."""
         path = self.entry_path(digest, seed, code_version)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": CACHE_SCHEMA,
-            "digest": digest,
-            "seed": seed,
-            "code_version": code_version,
-            "checksum": payload_checksum(payload),
-            "payload": payload,
-        }
+        payload_text = _canonical(payload)
+        text = _entry_text(
+            {
+                "schema": CACHE_SCHEMA,
+                "digest": digest,
+                "seed": seed,
+                "code_version": code_version,
+                "checksum": _sha256(payload_text),
+            },
+            payload_text,
+        )
         # Unique tmp name per writer; os.replace is atomic on POSIX and
         # Windows, so a concurrent reader sees the old entry or the new
         # one -- never an interleaving of the two.
         tmp = path.parent / f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True, separators=(",", ":"))
-                handle.write("\n")
+                handle.write(text + "\n")
             os.replace(tmp, path)
         finally:
             if tmp.exists():  # a failed write leaves no debris behind

@@ -19,7 +19,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FiveTuple:
-    """Classic flow identity: addresses, ports and protocol."""
+    """Classic flow identity: addresses, ports and protocol.
+
+    Every delivered packet's flow is a dict key several times over (the
+    fiber and lane memos, the output port's order check), so the hash is
+    computed once, at construction.  It is ``hash`` of the field tuple --
+    the value the generated dataclass hash returned -- so dict and set
+    order are unchanged.
+    """
 
     src_ip: int
     dst_ip: int
@@ -34,6 +41,14 @@ class FiveTuple:
             raise ValueError("ports must be 16-bit unsigned values")
         if not 0 <= self.protocol < 2**8:
             raise ValueError("protocol must be an 8-bit value")
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def packed(self) -> bytes:
         """Canonical byte encoding (network order) for hashing."""
@@ -94,11 +109,21 @@ class FlowGenerator:
         if n == 0:
             return []
         indices = self._rng.integers(self._flows_per_pair, size=n)
-        flow_for = self.flow_for
-        return [
-            flow_for(int(i), int(j), int(index))
-            for i, j, index in zip(inputs, outputs, indices)
-        ]
+        # Drawn indices are already in [0, flows_per_pair), so each
+        # (input, output, index) row is a cache key as it stands; only
+        # a pool member seen for the first time goes through flow_for.
+        cache = self._cache
+        flows = []
+        for key in zip(
+            np.asarray(inputs).tolist(),
+            np.asarray(outputs).tolist(),
+            indices.tolist(),
+        ):
+            flow = cache.get(key)
+            if flow is None:
+                flow = self.flow_for(*key)
+            flows.append(flow)
+        return flows
 
     def all_flows(self, input_port: int, output_port: int) -> Iterator[FiveTuple]:
         """Every flow in the (input, output) pool, in index order."""

@@ -216,12 +216,17 @@ class TrafficGenerator(TrafficSource):
         deprecated :meth:`generate` returned.
         """
         times, sizes, inputs, outputs, flows = self._arrays(duration_ns)
-        return [
-            Packet(pid, int(size), int(i), int(j), flow, float(time_ns))
-            for pid, (time_ns, size, i, j, flow) in enumerate(
-                zip(times, sizes, inputs, outputs, flows)
-            )
-        ]
+        # ``tolist`` yields the Python ints and floats the packets hold,
+        # column by column, instead of one numpy scalar per field.
+        return list(map(
+            Packet,
+            range(len(times)),
+            np.asarray(sizes, dtype=np.int64).tolist(),
+            inputs.tolist(),
+            outputs.tolist(),
+            flows,
+            np.asarray(times, dtype=np.float64).tolist(),
+        ))
 
     def generate(self, duration_ns: float) -> List[Packet]:
         """Deprecated eager path; use :meth:`blocks` or :meth:`materialize`.

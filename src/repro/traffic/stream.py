@@ -168,12 +168,15 @@ class ArrivalBlock:
         if self._packets is not None:
             return self._packets
         offset = self.pid_offset
-        return [
-            Packet(offset + k, int(size), int(i), int(j), flow, float(t))
-            for k, (t, size, i, j, flow) in enumerate(
-                zip(self.times, self.sizes, self.inputs, self.outputs, self.flows)
-            )
-        ]
+        return list(map(
+            Packet,
+            range(offset, offset + len(self.flows)),
+            self.sizes.tolist(),
+            self.inputs.tolist(),
+            self.outputs.tolist(),
+            self.flows,
+            self.times.tolist(),
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

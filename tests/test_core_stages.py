@@ -1,13 +1,17 @@
 """Pipeline stages: input port, tail SRAM, head SRAM, output port."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import scaled_router
 from repro.core.frames import Batch, Frame
 from repro.core.head_sram import HeadSRAM
 from repro.core.input_port import InputPort
 from repro.core.output_port import OutputPort
 from repro.core.tail_sram import TailSRAM
 from repro.errors import ConfigError
+from repro.sim.stats import OccupancyTracker
 from tests.test_traffic_basics import make_packet
 
 K = 1024
@@ -65,7 +69,7 @@ class TestInputPort:
     def test_occupancy_peak_recorded(self, config):
         port = InputPort(config, 0)
         port.on_packet(make_packet(pid=0, size=900, src=0, dst=0), 0.0)
-        assert port.occupancy.peak == 900
+        assert port.peak_bytes == 900
 
 
 def make_batch(output, seq=0, payload=K, created=0.0):
@@ -158,6 +162,100 @@ class TestHeadSRAM:
     def test_bounds(self, config):
         with pytest.raises(ConfigError):
             HeadSRAM(config).pop_frame(99, 0.0)
+
+
+#: One stage operation: (kind, output port, size in bytes).
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("push", "pop", "flush", "bypass")),
+        st.integers(0, 3),
+        st.integers(1, 3 * K),
+    ),
+    max_size=150,
+)
+
+
+def _check_high_water_mark(stage, operations):
+    """Run ``operations`` (callables) against ``stage``; after each one
+    the stage's high-water mark must equal the running maximum of its
+    occupancy, and the peak of an :class:`OccupancyTracker` fed every
+    occupancy."""
+    reference = 0
+    tracker = OccupancyTracker()
+    for now, operation in enumerate(operations):
+        operation()
+        reference = max(reference, stage.occupancy_bytes)
+        tracker.observe(stage.occupancy_bytes, float(now))
+        assert stage.peak_bytes == reference == tracker.peak
+
+
+class TestHighWaterMarks:
+    """``peak_bytes`` is only updated where occupancy grows; random
+    operation sequences (with drops) check that no growth is missed."""
+
+    CONFIG = scaled_router().switch
+
+    @given(ops=_OPS, capacity=st.integers(1, 24 * K))
+    @settings(max_examples=80, deadline=None)
+    def test_input_port(self, ops, capacity):
+        port = InputPort(self.CONFIG, 0, sram_capacity_bytes=capacity)
+        operations = []
+        for pid, (kind, output, size) in enumerate(ops):
+            if kind == "push":
+                packet = make_packet(pid=pid, size=size, src=0, dst=output)
+                operations.append(lambda p=packet, t=pid: port.on_packet(p, float(t)))
+            elif kind == "pop":
+                operations.append(lambda t=pid: port.pop_batch(float(t)))
+            else:  # a padding flush of every partial batch
+                operations.append(lambda t=pid: port.flush_partials(float(t)))
+        _check_high_water_mark(port, operations)
+
+    @given(ops=_OPS, capacity=st.integers(1, 48 * K))
+    @settings(max_examples=80, deadline=None)
+    def test_tail_sram(self, ops, capacity):
+        tail = TailSRAM(self.CONFIG, capacity_bytes=capacity)
+        operations = []
+        for seq, (kind, output, size) in enumerate(ops):
+            if kind == "push":
+                batch = Batch(output, seq, K, min(size, K), [], float(seq))
+                operations.append(lambda b=batch, t=seq: tail.on_batch(b, float(t)))
+            elif kind == "pop":
+                operations.append(lambda t=seq: tail.pop_frame(float(t)))
+            elif kind == "flush":  # frame padding
+                operations.append(
+                    lambda o=output, t=seq: tail.padded_frame_for(o, float(t))
+                )
+            else:
+                operations.append(
+                    lambda o=output, t=seq: tail.pop_frame_for(o, float(t))
+                )
+        _check_high_water_mark(tail, operations)
+
+    @given(ops=_OPS)
+    @settings(max_examples=80, deadline=None)
+    def test_head_sram(self, ops):
+        config = self.CONFIG
+        head = HeadSRAM(config)
+        operations = []
+        for t, (kind, output, size) in enumerate(ops):
+            if kind in ("push", "bypass"):
+                batches = min(size // K, config.batches_per_frame)
+                frame = make_frame(config, output, payload_batches=batches)
+                operations.append(lambda f=frame, t=t: head.on_frame(f, float(t)))
+            else:
+                operations.append(lambda o=output, t=t: head.pop_frame(o, float(t)))
+        _check_high_water_mark(head, operations)
+
+    def test_drops_do_not_move_the_mark(self):
+        port = InputPort(self.CONFIG, 0, sram_capacity_bytes=1000)
+        port.on_packet(make_packet(pid=0, size=900, src=0, dst=0), 0.0)
+        assert port.on_packet(make_packet(pid=1, size=200, src=0, dst=1), 0.0) is None
+        assert port.peak_bytes == 900
+        tail = TailSRAM(self.CONFIG, capacity_bytes=K)
+        tail.on_batch(make_batch(0, 0), 0.0)
+        assert tail.on_batch(make_batch(0, 1), 0.0) is None
+        assert tail.drops.dropped_items == 1
+        assert tail.peak_bytes == K
 
 
 class TestOutputPort:

@@ -20,6 +20,7 @@ import pytest
 from repro.config import scaled_router
 from repro.errors import ConfigError
 from repro.runtime import (
+    CACHE_SCHEMA,
     AttackCampaign,
     Campaign,
     FaultCampaign,
@@ -94,6 +95,34 @@ class TestResultCache:
         cache.store("d" * 64, 3, "1.0.0", payload)
         assert cache.load("d" * 64, 3, "1.0.0") == payload
         assert cache.stats()["entries"] == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {"report": {"x": 1.5}, "telemetry": None},
+            {
+                "z": [1, 2.25, -3e-12, float("nan"), float("inf"), None, True],
+                "nested": {"b": {"d": 1, "c": [{"y": 2, "x": 1}]}, "a": "µs \"q\""},
+                "schema": "payload keys that collide with the envelope",
+                "payload": {"seed": 4},
+            },
+        ],
+    )
+    def test_stored_bytes_are_canonical_json(self, tmp_path, payload):
+        cache = ResultCache(tmp_path)
+        path = cache.store("d" * 64, 3, "1.0.0+ab/c", payload)
+        entry = {
+            "schema": CACHE_SCHEMA,
+            "digest": "d" * 64,
+            "seed": 3,
+            "code_version": "1.0.0+ab/c",
+            "checksum": payload_checksum(payload),
+            "payload": payload,
+        }
+        canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        assert path.read_bytes() == (canonical + "\n").encode("utf-8")
+        assert cache.load("d" * 64, 3, "1.0.0+ab/c") is not None
 
     def test_miss_on_unknown_key(self, tmp_path):
         cache = ResultCache(tmp_path)

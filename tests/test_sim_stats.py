@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import DropCounter, LatencyRecorder, OccupancyTracker, ThroughputMeter
 
@@ -180,3 +182,54 @@ class TestLatencyRecorderExtend:
         with pytest.raises(ValueError, match="negative latency"):
             rec.extend([3.0, -1.0, 4.0])
         assert rec.samples == [1.0, 2.0] and len(rec) == 2
+
+
+class TestLatencySummary:
+    """``summary()`` converts the samples to an array once and must equal
+    the per-statistic accessors bit for bit."""
+
+    @staticmethod
+    def _same(a, b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    def _check(self, rec):
+        summary = rec.summary()
+        expected = {
+            "count": float(len(rec)),
+            "mean_ns": rec.mean,
+            "p50_ns": rec.percentile(50),
+            "p99_ns": rec.percentile(99),
+            "max_ns": rec.maximum,
+        }
+        assert summary.keys() == expected.keys()
+        for key, value in expected.items():
+            assert type(summary[key]) is float
+            assert self._same(summary[key], value), key
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+            max_size=400,
+        ),
+        st.sampled_from([None, 1, 7, 64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_accessors(self, values, capacity):
+        rec = LatencyRecorder(capacity=capacity, seed=3)
+        rec.extend(values)
+        self._check(rec)
+
+    @pytest.mark.parametrize("capacity", [None, 500])
+    def test_matches_accessors_on_a_long_run(self, capacity):
+        values = TestLatencyRecorderExtend._samples(n=20_000, seed=2)
+        rec = LatencyRecorder(capacity=capacity, seed=5)
+        rec.extend(values)
+        self._check(rec)
+        merged = LatencyRecorder(capacity=capacity, seed=5)
+        merged.absorb(rec)
+        self._check(merged)
+
+    def test_empty_summary_is_nan(self):
+        summary = LatencyRecorder().summary()
+        assert summary["count"] == 0.0
+        assert all(math.isnan(summary[k]) for k in ("mean_ns", "p50_ns", "p99_ns", "max_ns"))

@@ -1,10 +1,95 @@
 """ECMP/LAG hashing: determinism and load spreading."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core import sps
 from repro.traffic import EcmpSelector, FiveTuple, FlowGenerator, hash_to_choice
 from repro.traffic import ecmp
+from tests.test_traffic_basics import make_packet
+
+
+def _fields(flow):
+    return (flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port, flow.protocol)
+
+
+class TestFiveTupleHash:
+    """The hash is computed once, at construction, and keeps the value
+    the generated dataclass hash had."""
+
+    FLOWS = [
+        FiveTuple(0, 0, 0, 0, 0),
+        FiveTuple(0x0A000001, 0xC0000001, 1234, 443),
+        FiveTuple(2**32 - 1, 2**32 - 1, 2**16 - 1, 2**16 - 1, 255),
+        FiveTuple(7, 8, 9, 10, 17),
+    ]
+
+    @pytest.mark.parametrize("flow", FLOWS)
+    def test_hash_is_the_field_tuple_hash(self, flow):
+        assert hash(flow) == hash(_fields(flow))
+
+    def test_equality_unchanged(self):
+        a = FiveTuple(1, 2, 3, 4)
+        assert a == FiveTuple(1, 2, 3, 4)
+        assert a == FiveTuple(1, 2, 3, 4, 6)
+        assert a != FiveTuple(1, 2, 3, 4, 17)
+        assert a != FiveTuple(1, 2, 3, 5)
+        assert a != _fields(a)
+        assert len({a, FiveTuple(1, 2, 3, 4), FiveTuple(1, 2, 3, 5)}) == 2
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            FiveTuple(1, 2, 3, 4).src_port = 9
+
+    def test_equal_distinct_flow_hits_the_ecmp_memo_entry(self, monkeypatch):
+        calls = []
+
+        def counting(flow, n_choices, salt=0):
+            calls.append(flow)
+            return hash_to_choice(flow, n_choices, salt)
+
+        monkeypatch.setattr(ecmp, "hash_to_choice", counting)
+        selector = EcmpSelector(4, 16)
+        first, twin = FiveTuple(5, 6, 7, 8), FiveTuple(5, 6, 7, 8)
+        assert first is not twin
+        lane = selector.select(first)
+        assert selector.select(twin) is lane
+        assert calls == [first]
+        assert len(selector._lanes) == 1
+
+    def test_equal_distinct_flow_hits_the_fiber_memo_entry(self, monkeypatch):
+        calls = []
+
+        def counting(flow, n_choices, salt=0):
+            calls.append(flow)
+            return hash_to_choice(flow, n_choices, salt)
+
+        monkeypatch.setattr(sps, "hash_to_choice", counting)
+        first, twin = FiveTuple(5, 6, 7, 8), FiveTuple(5, 6, 7, 8)
+        packets = [make_packet(pid=0), make_packet(pid=1)]
+        packets[0].flow, packets[1].flow = first, twin
+        fibers = sps.assign_fibers(packets, 8)
+        assert fibers[0] == fibers[1] == hash_to_choice(first, 8, 0xECA)
+        assert calls == [first]
+
+    @pytest.mark.parametrize("flow", FLOWS)
+    def test_pickle_round_trip(self, flow):
+        copy = pickle.loads(pickle.dumps(flow))
+        assert copy == flow and copy is not flow
+        assert hash(copy) == hash(flow) == hash(_fields(copy))
+        assert len({flow, copy}) == 1
+
+    @pytest.mark.parametrize("flow", FLOWS)
+    def test_replace_round_trip(self, flow):
+        moved = dataclasses.replace(flow, src_port=(flow.src_port + 1) % 2**16)
+        assert moved != flow
+        assert hash(moved) == hash(_fields(moved))
+        back = dataclasses.replace(moved, src_port=flow.src_port)
+        assert back == flow and hash(back) == hash(flow)
+        assert dataclasses.astuple(back) == _fields(flow)
 
 
 class TestHashToChoice:
