@@ -12,6 +12,7 @@ import pytest
 from repro.analysis import degradation_curve, modular_deployments
 from repro.config import scaled_router
 from repro.core import PFIOptions, SplitParallelSwitch
+from repro.faults import FaultSchedule
 from repro.traffic import FixedSize, TrafficGenerator, uniform_matrix
 from repro.units import format_rate
 
@@ -66,7 +67,11 @@ def test_a04_fault_isolation_by_simulation(benchmark):
         ).run(router_traffic(config), DURATION)
         degraded = SplitParallelSwitch(
             config, options=PFIOptions(padding=True, bypass=True)
-        ).run(router_traffic(config), DURATION, failed_switches=[2])
+        ).run(
+            router_traffic(config),
+            DURATION,
+            fault_schedule=FaultSchedule.from_failed_switches([2]),
+        )
         return healthy, degraded
 
     healthy, degraded = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -209,36 +209,14 @@ def execute_attack_trial(trial: AttackTrial) -> dict:
         throttled_bytes = int(round(loop.throttled_bytes))
         control_summary = loop.summary()
     router = SplitParallelSwitch(config, splitter=splitter)
-    if control is None:
-        # Open-loop trials ingest the attack as a block stream -- byte-
-        # identical to the eager sequential run (the repo invariant) but
-        # holding one block at a time.  The strategy's precomputed fiber
-        # choices ride along, sliced by the blocks' pid offsets.
-        from ..traffic.stream import blocks_from_packets
-
-        fibers = list(fibers)
-
-        def fibers_fn(block_packets, block):
-            return fibers[block.pid_offset:block.pid_offset + len(block_packets)]
-
-        report = router.run_stream(
-            blocks_from_packets(packets, trial.duration_ns),
-            trial.duration_ns,
-            fibers_fn=fibers_fn,
-            drain=False,
-            fault_schedule=trial.fault_schedule,
-            telemetry=registry,
-        )
-    else:
-        report = router.run(
-            packets,
-            trial.duration_ns,
-            fibers=fibers,
-            drain=False,
-            mode="sequential",
-            fault_schedule=trial.fault_schedule,
-            telemetry=registry,
-        )
+    report = router.run(
+        packets,
+        trial.duration_ns,
+        fibers=fibers,
+        drain=False,
+        fault_schedule=trial.fault_schedule,
+        telemetry=registry,
+    )
     offered = report.per_switch_offered_bytes
     sim_total = float(sum(offered))
     sim_target = target if victim is not None else (

@@ -7,7 +7,8 @@ of them into packages yields the same aggregate capacity, power and
 buffering; what changes is the failure/replacement granularity and the
 per-package I/O.  This module enumerates those deployments and the
 graceful-degradation arithmetic the fault-injection simulation
-(:meth:`SplitParallelSwitch.run` with ``failed_switches``) confirms.
+(:meth:`SplitParallelSwitch.run` with
+``fault_schedule=FaultSchedule.from_failed_switches(...)``) confirms.
 """
 
 from __future__ import annotations

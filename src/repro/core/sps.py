@@ -15,9 +15,9 @@ hashing on the 5-tuple.
 
 from __future__ import annotations
 
-import warnings
+import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..config import RouterConfig
 from ..errors import ConfigError
 from ..hbm.timing import HBMTiming
 from ..photonics.oeo import OEOConverter
-from ..sim.parallel import SwitchWorkUnit, execute_work_unit, run_work_units
+from ..sim.parallel import SwitchWorkUnit, build_switch, run_work_units
 from ..traffic.ecmp import hash_to_choice
 from ..traffic.flows import FiveTuple
 from ..traffic.packet import Packet
@@ -36,31 +36,6 @@ from .pfi import PFIOptions
 
 #: Execution modes of :meth:`SplitParallelSwitch.run`.
 RUN_MODES = ("sequential", "parallel", "auto")
-
-_failed_switches_warned = False
-
-
-def _warn_failed_switches_deprecated() -> None:
-    """One-shot deprecation notice for the legacy ``failed_switches=``
-    kwarg -- it fires on the first faulted run of the process, not on
-    every cell of a sweep."""
-    global _failed_switches_warned
-    if _failed_switches_warned:
-        return
-    _failed_switches_warned = True
-    warnings.warn(
-        "SplitParallelSwitch.run(failed_switches=...) is deprecated; pass "
-        "fault_schedule=FaultSchedule.from_failed_switches(...) instead "
-        "(byte-identical results)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_failed_switches_warning() -> None:
-    """Re-arm the one-shot warning (test hook)."""
-    global _failed_switches_warned
-    _failed_switches_warned = False
 
 
 def assign_fibers(packets: Sequence[Packet], n_fibers: int, salt: int = 0xECA) -> List[int]:
@@ -296,7 +271,6 @@ class SplitParallelSwitch:
         duration_ns: float,
         fibers: Optional[Sequence[int]] = None,
         drain: bool = True,
-        failed_switches: Optional[Sequence[int]] = None,
         mode: str = "sequential",
         n_workers: Optional[int] = None,
         fault_schedule=None,
@@ -309,34 +283,29 @@ class SplitParallelSwitch:
         are simulated independently (they share nothing), each fed its
         split of the traffic.
 
-        ``failed_switches`` injects dead switches: their traffic is lost
-        at the (passive) split, the survivors run exactly as before --
-        the modularity/fault-isolation property of SS 2.2.  The kwarg is
-        *deprecated* (one ``DeprecationWarning`` per process): pass
-        ``fault_schedule=FaultSchedule.from_failed_switches(...)``
-        instead -- it takes literally the same path below and produces
-        byte-identical reports.
-
         ``fault_schedule`` (a :class:`~repro.faults.FaultSchedule`)
-        generalises that to timed faults: whole-run switch deaths take
-        the same split-level path as ``failed_switches`` (byte-identical
-        to the legacy API), windowed deaths / HBM channel losses / OEO
-        degradations are handed to the affected switches as per-switch
-        views, and fiber cuts filter their traffic at the split into
-        ``fault_lost_bytes``.  ``failed_switches`` and a schedule
-        compose: the listed switches are merged in as whole-run deaths.
-        An empty (or ``None``) schedule leaves every simulation path
-        bit-identical to an unfaulted run.
+        injects faults.  Whole-run switch deaths lose their traffic at
+        the (passive) split and the survivors run exactly as before --
+        the modularity/fault-isolation property of SS 2.2; pass
+        ``FaultSchedule.from_failed_switches(...)`` for that degenerate
+        case.  Windowed deaths / HBM channel losses / OEO degradations
+        are handed to the affected switches as per-switch views, and
+        fiber cuts filter their traffic at the split into
+        ``fault_lost_bytes``.  An empty (or ``None``) schedule leaves
+        every simulation path bit-identical to an unfaulted run.
 
         ``mode`` selects how the H independent simulations execute:
 
-        - ``"sequential"`` (default): one after another in this process.
-        - ``"parallel"``: fanned out over a process pool of
-          ``n_workers`` (default: CPU count) via
-          :mod:`repro.sim.parallel`.  Reports are merged in switch-index
-          order, so the result is byte-identical to sequential mode; the
-          caller's packet objects are, however, simulated as copies
-          (``departure_ns`` is not written back).
+        - ``"sequential"`` (default): the router core in this process,
+          fed ``packets`` as one chunk -- the caller's packet objects
+          are simulated in place, so ``departure_ns`` is written back.
+        - ``"parallel"``: the core's split, then each live switch's
+          share fanned out over a process pool of ``n_workers``
+          (default: CPU count) via :mod:`repro.sim.parallel`.  Reports
+          are merged in switch-index order, so the result is
+          byte-identical to sequential mode; the caller's packet
+          objects are, however, simulated as copies (``departure_ns``
+          is not written back).
         - ``"auto"``: parallel when it can help (several switches and
           several CPUs), sequential otherwise.
 
@@ -352,139 +321,33 @@ class SplitParallelSwitch:
         """
         if mode not in RUN_MODES:
             raise ConfigError(f"mode must be one of {RUN_MODES}, got {mode!r}")
-        failed = frozenset(failed_switches or ())
-        if failed:
-            _warn_failed_switches_deprecated()
-        for h in failed:
-            if not 0 <= h < self.config.n_switches:
-                raise ConfigError(f"failed switch {h} out of range")
-        schedule = fault_schedule
-        if schedule is None and failed:
-            # Re-express the legacy API as its degenerate schedule, so
-            # both forms take literally the same path from here on.
-            from ..faults.schedule import FaultSchedule
-
-            schedule = FaultSchedule.from_failed_switches(failed)
-        elif schedule is not None and failed:
-            schedule = schedule.with_failed_switches(failed)
-        if schedule is not None:
-            schedule.validate(self.config)
-            if schedule.is_empty:
-                schedule = None
+        split = _Split(self, fault_schedule, telemetry)
+        if mode == "auto":
+            workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
+            parallel = len(split.live) > 1 and workers > 1
+            mode = "parallel" if parallel else "sequential"
         if fibers is None:
             fibers = assign_fibers(packets, self.config.fibers_per_ribbon)
-        if telemetry is not None:
-            self.oeo.attach_telemetry(telemetry)
-            if schedule is not None:
-                from ..telemetry import tag_fault_windows
-
-                tag_fault_windows(telemetry, schedule)
-        fault_lost = 0
-        if schedule is not None and schedule.has_fiber_cuts:
-            # A cut fiber's traffic never reaches the package: filter it
-            # at the (passive) split, before partitioning.
-            kept_packets: List[Packet] = []
-            kept_fibers: List[int] = []
-            cut_lost: Dict[tuple, int] = {}
-            for packet, fiber in zip(packets, fibers):
-                if schedule.fiber_cut_active(
-                    packet.input_port, fiber, packet.arrival_ns
-                ):
-                    fault_lost += packet.size_bytes
-                    if telemetry is not None:
-                        key = (packet.input_port, fiber)
-                        cut_lost[key] = cut_lost.get(key, 0) + packet.size_bytes
-                else:
-                    kept_packets.append(packet)
-                    kept_fibers.append(fiber)
-            packets, fibers = kept_packets, kept_fibers
-            if telemetry is not None and cut_lost:
-                from ..telemetry import record_fault_loss
-
-                for (ribbon, fiber), n_bytes in sorted(cut_lost.items()):
-                    record_fault_loss(
-                        telemetry, "fiber", f"{ribbon}/{fiber}", n_bytes
-                    )
-        per_switch = self.partition_packets(packets, fibers)
-        # Whole-run deaths take the legacy split-level path; windowed
-        # faults ride along as per-switch views.
-        if schedule is not None:
-            dead = frozenset(schedule.whole_run_dead_switches())
-        else:
-            dead = failed
-        offered: List[int] = []
-        failed_bytes = 0
-        units: List[SwitchWorkUnit] = []
-        for h in range(self.config.n_switches):
-            arrived = sum(p.size_bytes for p in per_switch[h])
-            offered.append(arrived)
-            if telemetry is not None:
-                # The split is passive (0 ns); the observable is the
-                # per-switch packet count -- the load balance of E10.
-                telemetry.histogram(
-                    "repro_stage_latency_ns",
-                    "passive fiber-split assignment (count = per-switch load)",
-                    stage="split", switch=str(h),
-                ).observe_n(0.0, len(per_switch[h]))
-                # Time-resolved view of the same split: offered bytes per
-                # window per switch, recorded at the (passive) split
-                # point so dead switches' offered load shows up too.
-                split_series = telemetry.timeseries(
-                    "repro_split_window_bytes",
-                    "offered bytes per window at the fiber split",
-                    switch=str(h),
-                )
-                for packet in per_switch[h]:
-                    split_series.observe(packet.arrival_ns, packet.size_bytes)
-            if h in dead:
-                failed_bytes += arrived
-                if telemetry is not None and arrived:
-                    from ..telemetry import record_fault_loss
-
-                    record_fault_loss(telemetry, "switch", str(h), arrived)
-                continue
-            view = (
-                schedule.switch_view(h, self.config.switch.total_channels)
-                if schedule is not None
-                else None
+        if mode == "sequential":
+            return self._run_chunks(
+                split, [(packets, fibers, duration_ns)], duration_ns, drain
             )
-            units.append(
-                SwitchWorkUnit(
-                    index=h,
-                    config=self.config.switch,
-                    options=self.options,
-                    timing=self.timing,
-                    packets=tuple(per_switch[h]),
-                    duration_ns=duration_ns,
-                    drain=drain,
-                    faults=view,
-                    telemetry=telemetry is not None,
-                )
+        per_switch = split.split(packets, fibers)
+        units = [
+            SwitchWorkUnit(
+                index=h,
+                config=self.config.switch,
+                options=self.options,
+                timing=self.timing,
+                packets=tuple(per_switch[h]),
+                duration_ns=duration_ns,
+                drain=drain,
+                faults=split.view(h),
+                telemetry=telemetry is not None,
             )
-        reports = self._execute_units(units, mode, n_workers)
-        for report in reports:
-            # One O/E + one E/O per bit through a switch (the SPS property).
-            self.oeo.convert(8.0 * (report.offered_bytes + report.delivered_bytes))
-        telemetry_dump = None
-        if telemetry is not None:
-            # Per-switch registries merge in unit (= switch-index) order
-            # in both execution modes, so the aggregate dump is
-            # byte-identical whether the switches ran in-process or on
-            # the pool.
-            for report in reports:
-                if report.telemetry is not None:
-                    telemetry.merge_dict(report.telemetry)
-            telemetry_dump = telemetry.to_dict()
-        return RouterReport(
-            switch_reports=reports,
-            per_switch_offered_bytes=offered,
-            duration_ns=duration_ns,
-            failed_switches=sorted(dead),
-            failed_offered_bytes=failed_bytes,
-            fault_lost_bytes=fault_lost,
-            fault_events=schedule.describe() if schedule is not None else [],
-            telemetry=telemetry_dump,
-        )
+            for h in split.live
+        ]
+        return split.report(run_work_units(units, n_workers=n_workers), duration_ns)
 
     def run_stream(
         self,
@@ -505,11 +368,14 @@ class SplitParallelSwitch:
         ``source.blocks(duration_ns)``).  Each block is partitioned
         across the H switches and every engine is advanced to the block
         boundary before the next block is pulled, so at most one block
-        of packets is ever materialized.  Reports -- and telemetry
-        dumps -- are byte-identical to :meth:`run` fed the concatenated
-        packets (``mode="sequential"``); the streaming path is
-        inherently sequential (the switches advance in lockstep with
-        the source), so there is no ``mode`` knob here.
+        of packets is ever materialized.  Every block is one chunk of
+        the same router core that :meth:`run` feeds its packet list to
+        as a single chunk, so reports -- and telemetry dumps -- are
+        byte-identical to :meth:`run` on the concatenated packets by
+        construction: the engines see the same arrivals and the
+        split-level tallies are sums.  The streaming path is inherently
+        sequential (the switches advance in lockstep with the source),
+        so there is no ``mode`` knob here.
 
         ``fibers_fn(packets, block)`` supplies per-packet arrival
         fibers for one block (default: the upstream ECMP hash of
@@ -523,176 +389,207 @@ class SplitParallelSwitch:
         output port (see :class:`~repro.sim.stats.LatencyRecorder`);
         both default to off, keeping the bit-exact historical path.
         """
+        split = _Split(self, fault_schedule, telemetry)
+        n_fibers = self.config.fibers_per_ribbon
+
+        def chunks():
+            for block in blocks:
+                packets = block.to_packets()
+                fibers = (
+                    fibers_fn(packets, block)
+                    if fibers_fn is not None
+                    else assign_fibers(packets, n_fibers)
+                )
+                yield packets, fibers, min(block.end_ns, duration_ns)
+
+        return self._run_chunks(
+            split,
+            chunks(),
+            duration_ns,
+            drain,
+            max_drain_ns=max_drain_ns,
+            departure_sink=departure_sink,
+            latency_sample_cap=latency_sample_cap,
+        )
+
+    def _run_chunks(
+        self,
+        split: "_Split",
+        chunks: Iterable[Tuple[Sequence[Packet], Sequence[int], float]],
+        duration_ns: float,
+        drain: bool,
+        max_drain_ns: Optional[float] = None,
+        departure_sink=None,
+        latency_sample_cap: Optional[int] = None,
+    ) -> RouterReport:
+        """The router core: split each ``(packets, fibers, boundary_ns)``
+        chunk, step every live switch to the chunk's boundary, then
+        finish, drain and report.
+
+        Within a chunk one switch is offered its share and advanced
+        before the next is offered: the switches are independent, so
+        each one's events are unchanged, and only one switch's arrival
+        cursor is held at a time.
+        """
+        switches = [
+            build_switch(
+                h,
+                self.config.switch,
+                self.options,
+                self.timing,
+                faults=split.view(h),
+                telemetry=split.telemetry is not None,
+                latency_sample_cap=latency_sample_cap,
+            )
+            for h in split.live
+        ]
+        for switch in switches:
+            if departure_sink is not None:
+                for output in switch.outputs:
+                    output.departure_sink = departure_sink
+            switch.stream_begin()
+        for packets, fibers, boundary_ns in chunks:
+            per_switch = split.split(packets, fibers)
+            for h, switch in zip(split.live, switches):
+                switch.stream_offer(per_switch[h], duration_ns)
+                switch.stream_advance(boundary_ns)
+        reports: List[SwitchReport] = []
+        for switch in switches:
+            report = switch.stream_finish(duration_ns, drain, max_drain_ns)
+            if switch.telemetry is not None:
+                report.telemetry = switch.telemetry.registry.to_dict()
+            reports.append(report)
+        return split.report(reports, duration_ns)
+
+
+class _Split:
+    """The passive fiber split of one router run, with its tallies.
+
+    Every ingest route shares it: the fault schedule is normalised and
+    its windows tagged once, each chunk of traffic goes through
+    :meth:`split` (fiber-cut filtering, partitioning, per-switch offered
+    bytes, split telemetry), and :meth:`report` turns the live
+    switches' reports into the :class:`RouterReport`.  Whole-run dead
+    switches are never built: their traffic dies at the split.
+    """
+
+    def __init__(self, router: SplitParallelSwitch, fault_schedule, telemetry) -> None:
+        config = router.config
         schedule = fault_schedule
         if schedule is not None:
-            schedule.validate(self.config)
+            schedule.validate(config)
             if schedule.is_empty:
                 schedule = None
         if telemetry is not None:
-            self.oeo.attach_telemetry(telemetry)
+            router.oeo.attach_telemetry(telemetry)
             if schedule is not None:
                 from ..telemetry import tag_fault_windows
 
                 tag_fault_windows(telemetry, schedule)
-        dead = (
+        self.router = router
+        self.schedule = schedule
+        self.telemetry = telemetry
+        self.dead = (
             frozenset(schedule.whole_run_dead_switches())
             if schedule is not None
             else frozenset()
         )
-        # Per-switch simulation state, mirroring execute_work_unit: a
-        # fresh registry + SwitchTelemetry per instrumented switch, the
-        # switch's fault view, no switch object at all for whole-run
-        # dead switches (their traffic dies at the passive split).
-        switches: List[Optional["HBMSwitch"]] = []
-        registries: List[Optional[object]] = []
-        from .hbm_switch import HBMSwitch
+        #: Indices of the switches that run, in switch-index order.
+        self.live = [h for h in range(config.n_switches) if h not in self.dead]
+        self.offered = [0] * config.n_switches
+        self.fault_lost = 0
+        self._cut_lost: Dict[tuple, int] = {}
 
-        for h in range(self.config.n_switches):
-            if h in dead:
-                switches.append(None)
-                registries.append(None)
-                continue
-            switch_telemetry = None
-            registry = None
-            if telemetry is not None:
-                from ..telemetry import MetricsRegistry, SwitchTelemetry
+    def view(self, h: int):
+        """Switch ``h``'s slice of the schedule (``None`` unfaulted)."""
+        if self.schedule is None:
+            return None
+        return self.schedule.switch_view(h, self.router.config.switch.total_channels)
 
-                registry = MetricsRegistry()
-                switch_telemetry = SwitchTelemetry(
-                    registry, self.config.switch, h
-                )
-            view = (
-                schedule.switch_view(h, self.config.switch.total_channels)
-                if schedule is not None
-                else None
-            )
-            switch = HBMSwitch(
-                self.config.switch,
-                self.options,
-                self.timing,
-                faults=view,
-                telemetry=switch_telemetry,
-                latency_sample_cap=latency_sample_cap,
-            )
-            if departure_sink is not None:
-                for output in switch.outputs:
-                    output.departure_sink = departure_sink
-            switches.append(switch)
-            registries.append(registry)
-        for switch in switches:
-            if switch is not None:
-                switch.stream_begin()
-        offered = [0] * self.config.n_switches
-        failed_bytes = 0
-        fault_lost = 0
-        cut_lost: Dict[tuple, int] = {}
-        for block in blocks:
-            packets = block.to_packets()
-            fibers = (
-                fibers_fn(packets, block)
-                if fibers_fn is not None
-                else assign_fibers(packets, self.config.fibers_per_ribbon)
-            )
-            if schedule is not None and schedule.has_fiber_cuts:
-                kept_packets: List[Packet] = []
-                kept_fibers: List[int] = []
-                for packet, fiber in zip(packets, fibers):
-                    if schedule.fiber_cut_active(
-                        packet.input_port, fiber, packet.arrival_ns
-                    ):
-                        fault_lost += packet.size_bytes
-                        if telemetry is not None:
-                            key = (packet.input_port, fiber)
-                            cut_lost[key] = (
-                                cut_lost.get(key, 0) + packet.size_bytes
-                            )
-                    else:
-                        kept_packets.append(packet)
-                        kept_fibers.append(fiber)
-                packets, fibers = kept_packets, kept_fibers
-            per_switch = self.partition_packets(packets, fibers)
-            boundary = min(block.end_ns, duration_ns)
-            for h in range(self.config.n_switches):
-                arrived = sum(p.size_bytes for p in per_switch[h])
-                offered[h] += arrived
-                if telemetry is not None:
-                    # Same split-level series as run(); per-block
-                    # increments sum to the same final values (the
-                    # registry dump is value-sorted, never
-                    # insertion-ordered).
-                    telemetry.histogram(
-                        "repro_stage_latency_ns",
-                        "passive fiber-split assignment (count = per-switch load)",
-                        stage="split", switch=str(h),
-                    ).observe_n(0.0, len(per_switch[h]))
-                    split_series = telemetry.timeseries(
-                        "repro_split_window_bytes",
-                        "offered bytes per window at the fiber split",
-                        switch=str(h),
-                    )
-                    for packet in per_switch[h]:
-                        split_series.observe(packet.arrival_ns, packet.size_bytes)
-                if switches[h] is None:
-                    failed_bytes += arrived
+    def split(
+        self, packets: Sequence[Packet], fibers: Sequence[int]
+    ) -> List[List[Packet]]:
+        """One chunk through the split: per-switch packet lists."""
+        schedule = self.schedule
+        telemetry = self.telemetry
+        if schedule is not None and schedule.has_fiber_cuts:
+            # A cut fiber's traffic never reaches the package: filter it
+            # at the (passive) split, before partitioning.
+            kept_packets: List[Packet] = []
+            kept_fibers: List[int] = []
+            cut_lost = self._cut_lost
+            for packet, fiber in zip(packets, fibers):
+                if schedule.fiber_cut_active(
+                    packet.input_port, fiber, packet.arrival_ns
+                ):
+                    self.fault_lost += packet.size_bytes
+                    if telemetry is not None:
+                        key = (packet.input_port, fiber)
+                        cut_lost[key] = cut_lost.get(key, 0) + packet.size_bytes
                 else:
-                    switches[h].stream_offer(per_switch[h], duration_ns)
-            for switch in switches:
-                if switch is not None:
-                    switch.stream_advance(boundary)
+                    kept_packets.append(packet)
+                    kept_fibers.append(fiber)
+            packets, fibers = kept_packets, kept_fibers
+        per_switch = self.router.partition_packets(packets, fibers)
+        for h, share in enumerate(per_switch):
+            self.offered[h] += sum(p.size_bytes for p in share)
+            if telemetry is not None:
+                # The split is passive (0 ns); the observable is the
+                # per-switch packet count -- the load balance of E10.
+                # Per-chunk increments sum to the one-chunk values (the
+                # registry dump is value-sorted, never insertion-ordered).
+                telemetry.histogram(
+                    "repro_stage_latency_ns",
+                    "passive fiber-split assignment (count = per-switch load)",
+                    stage="split", switch=str(h),
+                ).observe_n(0.0, len(share))
+                # Time-resolved view of the same split: offered bytes per
+                # window per switch, recorded at the (passive) split
+                # point so dead switches' offered load shows up too.
+                split_series = telemetry.timeseries(
+                    "repro_split_window_bytes",
+                    "offered bytes per window at the fiber split",
+                    switch=str(h),
+                )
+                for packet in share:
+                    split_series.observe(packet.arrival_ns, packet.size_bytes)
+        return per_switch
+
+    def report(self, reports: List[SwitchReport], duration_ns: float) -> RouterReport:
+        """Assemble the run's :class:`RouterReport` from the live
+        switches' reports, in switch-index order."""
+        telemetry = self.telemetry
+        dead = sorted(self.dead)
         if telemetry is not None:
             from ..telemetry import record_fault_loss
 
-            for (ribbon, fiber), n_bytes in sorted(cut_lost.items()):
+            for (ribbon, fiber), n_bytes in sorted(self._cut_lost.items()):
                 record_fault_loss(telemetry, "fiber", f"{ribbon}/{fiber}", n_bytes)
-            for h in sorted(dead):
-                if offered[h]:
-                    record_fault_loss(telemetry, "switch", str(h), offered[h])
-        reports: List[SwitchReport] = []
-        for h, switch in enumerate(switches):
-            if switch is None:
-                continue
-            report = switch.stream_finish(duration_ns, drain, max_drain_ns)
-            if registries[h] is not None:
-                report.telemetry = registries[h].to_dict()
-            reports.append(report)
+            for h in dead:
+                record_fault_loss(telemetry, "switch", str(h), self.offered[h])
         for report in reports:
-            self.oeo.convert(8.0 * (report.offered_bytes + report.delivered_bytes))
+            # One O/E + one E/O per bit through a switch (the SPS property).
+            self.router.oeo.convert(
+                8.0 * (report.offered_bytes + report.delivered_bytes)
+            )
         telemetry_dump = None
         if telemetry is not None:
+            # Per-switch registries merge in switch-index order whichever
+            # way the switches ran, so the aggregate dump is
+            # byte-identical in-process, streamed or on the pool.
             for report in reports:
                 if report.telemetry is not None:
                     telemetry.merge_dict(report.telemetry)
             telemetry_dump = telemetry.to_dict()
         return RouterReport(
             switch_reports=reports,
-            per_switch_offered_bytes=offered,
+            per_switch_offered_bytes=self.offered,
             duration_ns=duration_ns,
-            failed_switches=sorted(dead),
-            failed_offered_bytes=failed_bytes,
-            fault_lost_bytes=fault_lost,
-            fault_events=schedule.describe() if schedule is not None else [],
+            failed_switches=dead,
+            failed_offered_bytes=sum(self.offered[h] for h in dead),
+            fault_lost_bytes=self.fault_lost,
+            fault_events=(
+                self.schedule.describe() if self.schedule is not None else []
+            ),
             telemetry=telemetry_dump,
         )
-
-    def _execute_units(
-        self,
-        units: List[SwitchWorkUnit],
-        mode: str,
-        n_workers: Optional[int],
-    ) -> List[SwitchReport]:
-        """Run the per-switch work units under the chosen mode.
-
-        The sequential path runs the same :func:`execute_work_unit` the
-        workers do, just inline -- no pickling, so the caller's packet
-        objects are simulated in place (preserving the historical
-        behaviour that ``departure_ns`` is observable after a run), and
-        telemetry takes literally one code path in both modes.
-        """
-        import os
-
-        if mode == "auto":
-            workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-            mode = "parallel" if len(units) > 1 and workers > 1 else "sequential"
-        if mode == "parallel":
-            return run_work_units(units, n_workers=n_workers)
-        return [execute_work_unit(unit)[1] for unit in units]

@@ -79,7 +79,7 @@ class _Windowed:
     @property
     def whole_run(self) -> bool:
         """Active from t = 0 with no recovery -- the degenerate schedule
-        equivalent to the legacy whole-run ``failed_switches`` path."""
+        of :meth:`~repro.faults.FaultSchedule.from_failed_switches`."""
         return self.start_ns <= 0.0 and self.permanent
 
 
@@ -89,8 +89,8 @@ class SwitchFailure(_Windowed):
 
     While dead, traffic arriving on the switch's fibers is lost (the
     share-nothing property: nothing else is affected).  A whole-run
-    failure (``start_ns = 0``, ``end_ns = inf``) reproduces the legacy
-    ``failed_switches=[h]`` behaviour byte for byte.
+    failure (``start_ns = 0``, ``end_ns = inf``) is handled at the
+    split: the switch is never built and its traffic is lost there.
     """
 
     switch: int

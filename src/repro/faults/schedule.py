@@ -6,8 +6,8 @@ places:
 
 - :meth:`~repro.core.sps.SplitParallelSwitch.run` filters fiber-cut
   traffic at the passive split and skips switches that are dead for the
-  whole run (the degenerate schedule that reproduces the legacy
-  ``failed_switches`` path byte for byte);
+  whole run (the degenerate schedule of
+  :meth:`FaultSchedule.from_failed_switches`);
 - every surviving switch receives a :class:`SwitchFaultView` -- the
   picklable projection of the schedule onto that switch -- which the
   :class:`~repro.core.hbm_switch.HBMSwitch`, the PFI engine and the
@@ -87,8 +87,8 @@ class SwitchFaultView:
 
     @property
     def dead_whole_run(self) -> bool:
-        """Dead from t = 0 with no recovery: the degenerate schedule the
-        legacy ``failed_switches`` path maps onto."""
+        """Dead from t = 0 with no recovery: the switch is never built
+        and its traffic is lost at the split."""
         return any(f.whole_run for f in self.failures)
 
     def dead_at(self, t_ns: float) -> bool:
@@ -140,8 +140,8 @@ class FaultSchedule:
 
     @classmethod
     def from_failed_switches(cls, failed: Iterable[int]) -> "FaultSchedule":
-        """The degenerate schedule of the legacy whole-run API: every
-        listed switch dead from t = 0 forever."""
+        """The degenerate schedule of whole-run deaths: every listed
+        switch dead from t = 0 forever."""
         return cls(SwitchFailure(switch=h) for h in failed)
 
     def with_failed_switches(self, failed: Iterable[int]) -> "FaultSchedule":

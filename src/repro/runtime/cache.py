@@ -7,6 +7,8 @@ store one scenario payload plus enough envelope to detect corruption:
   rejected, not trusted);
 - a sha256 checksum of the canonical payload JSON (a truncated or
   bit-flipped entry is *evicted* on read and transparently recomputed).
+  A read checks it over the payload's text exactly as stored, so an
+  entry whose payload is not byte-for-byte canonical is evicted too.
 
 Writes are atomic: the entry is serialised to a unique temporary file in
 the same directory and ``os.replace``-d into place, so concurrent
@@ -31,6 +33,12 @@ from typing import Any, Dict, Optional
 
 #: Envelope schema tag stamped on every cache entry.
 CACHE_SCHEMA = "repro-cache-v1"
+
+#: An entry's members are key-sorted, so its payload text sits between
+#: these two markers: before it only short envelope strings (whose
+#: quotes canonical JSON escapes), after it only the schema tag.
+_PAYLOAD_OPEN = ',"payload":'
+_PAYLOAD_CLOSE = ',"schema":'
 
 
 def _canonical(obj: Any) -> str:
@@ -96,7 +104,8 @@ class ResultCache:
         path = self.entry_path(digest, seed, code_version)
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+                text = handle.read()
+            entry = json.loads(text)
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -104,14 +113,14 @@ class ResultCache:
             # Unreadable or truncated mid-write by a crashed run: evict.
             self._evict(path)
             return None
-        if not self._valid(entry, digest, seed, code_version):
+        if not self._valid(entry, text, digest, seed, code_version):
             self._evict(path)
             return None
         self.hits += 1
         return entry["payload"]
 
     def _valid(
-        self, entry: Any, digest: str, seed: int, code_version: str
+        self, entry: Any, text: str, digest: str, seed: int, code_version: str
     ) -> bool:
         if not isinstance(entry, dict):
             return False
@@ -123,10 +132,14 @@ class ResultCache:
             or entry.get("code_version") != code_version
         ):
             return False
-        payload = entry.get("payload")
-        if not isinstance(payload, dict):
+        if not isinstance(entry.get("payload"), dict):
             return False
-        return entry.get("checksum") == payload_checksum(payload)
+        start = text.find(_PAYLOAD_OPEN)
+        end = text.rfind(_PAYLOAD_CLOSE)
+        if start < 0 or end < start:
+            return False
+        payload_text = text[start + len(_PAYLOAD_OPEN):end]
+        return entry.get("checksum") == _sha256(payload_text)
 
     def _evict(self, path: Path) -> None:
         self.evictions += 1

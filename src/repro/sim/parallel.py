@@ -67,27 +67,54 @@ class SwitchWorkUnit:
     telemetry: bool = False
 
 
+def build_switch(
+    index: int,
+    config,
+    options,
+    timing,
+    faults=None,
+    telemetry: bool = False,
+    latency_sample_cap: Optional[int] = None,
+):
+    """One live switch of the router, ready to simulate.
+
+    Instrumented switches get a fresh per-switch
+    :class:`~repro.telemetry.MetricsRegistry` behind a
+    :class:`~repro.telemetry.SwitchTelemetry` labelled ``switch=index``;
+    the registry is reachable as ``switch.telemetry.registry``.  The
+    router core and :func:`execute_work_unit` both build their switches
+    here, so a switch is built the same way in-process and on the pool.
+    """
+    from ..core.hbm_switch import HBMSwitch
+
+    switch_telemetry = None
+    if telemetry:
+        from ..telemetry import MetricsRegistry, SwitchTelemetry
+
+        switch_telemetry = SwitchTelemetry(MetricsRegistry(), config, index)
+    return HBMSwitch(
+        config,
+        options,
+        timing,
+        faults=faults,
+        telemetry=switch_telemetry,
+        latency_sample_cap=latency_sample_cap,
+    )
+
+
 def execute_work_unit(unit: SwitchWorkUnit):
     """Run one unit to completion; returns ``(index, SwitchReport)``.
 
     Module-level (not a closure or method) so it pickles for worker
     processes regardless of the multiprocessing start method.
     """
-    from ..core.hbm_switch import HBMSwitch
-
-    registry = None
-    telemetry = None
-    if unit.telemetry:
-        from ..telemetry import MetricsRegistry, SwitchTelemetry
-
-        registry = MetricsRegistry()
-        telemetry = SwitchTelemetry(registry, unit.config, unit.index)
-    switch = HBMSwitch(
+    switch = build_switch(
+        unit.index,
         unit.config,
         unit.options,
         unit.timing,
         faults=unit.faults,
-        telemetry=telemetry,
+        telemetry=unit.telemetry,
     )
     report = switch.run(
         list(unit.packets),
@@ -95,8 +122,8 @@ def execute_work_unit(unit: SwitchWorkUnit):
         drain=unit.drain,
         max_drain_ns=unit.max_drain_ns,
     )
-    if registry is not None:
-        report.telemetry = registry.to_dict()
+    if switch.telemetry is not None:
+        report.telemetry = switch.telemetry.registry.to_dict()
     return unit.index, report
 
 

@@ -4,8 +4,8 @@ The three load-bearing contracts, plus the satellite behaviours:
 
 1. An empty fault schedule is *byte-identical* to no schedule at all --
    the fault hooks must not perturb a single float on the healthy path.
-2. Killing switch h at t = 0 forever is identical to the legacy
-   ``failed_switches=[h]`` API (the degenerate schedule).
+2. Killing switch h at t = 0 forever is identical to
+   ``FaultSchedule.from_failed_switches([h])`` (the degenerate schedule).
 3. Killing k of H switches measures within 1% of the closed form
    (H - k)/H from :mod:`repro.analysis.modularity`.
 """
@@ -40,7 +40,10 @@ DURATION = 20_000.0
 
 
 def run_router(config, schedule=None, failed=None, load=0.6, seed=0):
-    """One sequential router run with deterministic fiber assignment."""
+    """One sequential router run with deterministic fiber assignment;
+    ``failed`` lists whole-run dead switches (the degenerate schedule)."""
+    if failed is not None:
+        schedule = FaultSchedule.from_failed_switches(failed)
     packets = router_fault_traffic(
         config, load=load, duration_ns=DURATION, seed=seed
     )
@@ -52,7 +55,6 @@ def run_router(config, schedule=None, failed=None, load=0.6, seed=0):
         packets,
         DURATION,
         fibers=fibers,
-        failed_switches=failed,
         fault_schedule=schedule,
     )
 

@@ -6,6 +6,7 @@ from repro.analysis import degradation_curve, modular_deployments
 from repro.config import reference_router
 from repro.core import PFIOptions, SplitParallelSwitch
 from repro.errors import ConfigError
+from repro.faults import FaultSchedule
 from tests.test_core_sps import router_traffic
 
 CFG = reference_router()
@@ -61,7 +62,11 @@ class TestFailureInjection:
             small_router, options=PFIOptions(padding=True, bypass=True)
         )
         packets = router_traffic(small_router, load=0.5)
-        report = sps.run(packets, 30_000.0, failed_switches=[0])
+        report = sps.run(
+            packets,
+            30_000.0,
+            fault_schedule=FaultSchedule.from_failed_switches([0]),
+        )
         # H = 2: roughly half the traffic is lost, the rest is delivered
         # perfectly -- failure is isolated.
         assert report.failed_switches == [0]
@@ -79,7 +84,11 @@ class TestFailureInjection:
         packets2 = router_traffic(small_router, load=0.5, seed=4)
         degraded = SplitParallelSwitch(
             small_router, options=PFIOptions(padding=True, bypass=True)
-        ).run(packets2, 30_000.0, failed_switches=[0])
+        ).run(
+            packets2,
+            30_000.0,
+            fault_schedule=FaultSchedule.from_failed_switches([0]),
+        )
         # Switch 1's report is identical in both runs: no shared state.
         healthy_s1 = healthy.switch_reports[1]
         degraded_s1 = degraded.switch_reports[0]  # only survivor
@@ -91,7 +100,11 @@ class TestFailureInjection:
     def test_invalid_failed_switch_rejected(self, small_router):
         sps = SplitParallelSwitch(small_router)
         with pytest.raises(ConfigError):
-            sps.run([], 1000.0, failed_switches=[99])
+            sps.run(
+                [],
+                1000.0,
+                fault_schedule=FaultSchedule.from_failed_switches([99]),
+            )
 
     def test_no_failures_reported_by_default(self, small_router):
         sps = SplitParallelSwitch(

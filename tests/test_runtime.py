@@ -254,6 +254,26 @@ class TestRuntimeCaching:
         assert again.cache.writes == 1
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
+    def test_same_parse_other_text_recomputed(self, tmp_path):
+        # The checksum covers the payload text as stored, not a
+        # re-encoding of its parse: one inserted space evicts the entry.
+        scenario = tiny_switch_scenario()
+        rt = Runtime(cache_dir=tmp_path)
+        first = rt.run(scenario)
+        path = rt.cache.entry_path(
+            scenario.digest(), scenario.seed, rt.code_version
+        )
+        text = path.read_text()
+        spaced = text.replace('"report":{', '"report": {', 1)
+        assert spaced != text and json.loads(spaced) == json.loads(text)
+        path.write_text(spaced)
+        again = Runtime(cache_dir=tmp_path)
+        second = again.run(scenario)
+        assert again.cache.evictions == 1
+        assert again.cache.writes == 1
+        assert path.read_text() == text
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
     def test_run_facade(self, tmp_path):
         scenario = tiny_switch_scenario()
         a = run(scenario, cache_dir=tmp_path)
@@ -434,54 +454,6 @@ class TestDeprecationShims:
                 duration_ns=2_000.0,
             )
         assert "exposure_ratio" in result
-
-
-class TestFailedSwitchesDeprecation:
-    def test_warns_once_and_stays_byte_identical(self):
-        from repro.core.sps import (
-            SplitParallelSwitch,
-            _reset_failed_switches_warning,
-        )
-        from repro.faults import FaultSchedule
-        from repro.reporting import report_to_json
-        from repro.traffic import TrafficGenerator, FixedSize, uniform_matrix
-
-        config = scaled_router()
-        gen = TrafficGenerator(
-            n_ports=config.n_ribbons,
-            port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
-            matrix=uniform_matrix(config.n_ribbons, 0.5),
-            size_dist=FixedSize(1500),
-            seed=0,
-        )
-        packets = gen.generate(4_000.0)
-        sps = SplitParallelSwitch(config)
-
-        _reset_failed_switches_warning()
-        with pytest.warns(DeprecationWarning, match="failed_switches"):
-            legacy = sps.run(list(packets), 4_000.0, failed_switches=[0])
-        modern = sps.run(
-            list(packets),
-            4_000.0,
-            fault_schedule=FaultSchedule.from_failed_switches([0]),
-        )
-        assert report_to_json(legacy) == report_to_json(modern)
-
-    def test_second_call_does_not_warn(self):
-        import warnings
-
-        from repro.core.sps import (
-            SplitParallelSwitch,
-            _reset_failed_switches_warning,
-        )
-
-        sps = SplitParallelSwitch(scaled_router())
-        _reset_failed_switches_warning()
-        with pytest.warns(DeprecationWarning):
-            sps.run([], 1_000.0, failed_switches=[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            sps.run([], 1_000.0, failed_switches=[0])  # warned already
 
 
 class TestFacade:

@@ -457,31 +457,60 @@ class TestEngineStreaming:
 
     @pytest.mark.parametrize("block_ns", [1_000.0, 7_777.0, 40_000.0])
     def test_router_run_stream_matches_run_under_faults(self, block_ns):
-        config = scaled_router()
-        schedule = FaultSchedule(
-            [
-                SwitchFailure(switch=1, start_ns=5_000.0, end_ns=12_000.0),
-                FiberCut(ribbon=0, fiber=1),
-            ]
-        )
-        reg_stream, reg_eager = MetricsRegistry(), MetricsRegistry()
-        streamed = SplitParallelSwitch(config, options=PFIOptions()).run_stream(
-            self._source(config).blocks(self.DURATION, block_ns),
-            self.DURATION,
-            fault_schedule=schedule,
-            telemetry=reg_stream,
-        )
-        eager = SplitParallelSwitch(config, options=PFIOptions()).run(
-            self._source(config).materialize(self.DURATION),
-            self.DURATION,
-            mode="sequential",
-            fault_schedule=schedule,
-            telemetry=reg_eager,
-        )
-        a = json.dumps(dataclasses.asdict(streamed), sort_keys=True, default=str)
-        b = json.dumps(dataclasses.asdict(eager), sort_keys=True, default=str)
-        assert a == b
-        assert reg_stream.dumps() == reg_eager.dumps()
+        """Streamed, eager sequential and parallel ingest give one result:
+        same report JSON, same telemetry dump."""
+        windowed = [
+            SwitchFailure(switch=1, start_ns=5_000.0, end_ns=12_000.0),
+            FiberCut(ribbon=0, fiber=1),
+        ]
+        cases = [
+            (scaled_router(), FaultSchedule(windowed)),
+            # A whole-run death too: that switch's traffic dies at the
+            # split and it is never built.
+            (
+                scaled_router(n_switches=4, fibers_per_ribbon=16),
+                FaultSchedule(windowed + [SwitchFailure(switch=2)]),
+            ),
+        ]
+        for config, schedule in cases:
+            routes = {
+                "stream": lambda router, registry: router.run_stream(
+                    self._source(config).blocks(self.DURATION, block_ns),
+                    self.DURATION,
+                    fault_schedule=schedule,
+                    telemetry=registry,
+                ),
+                "eager": lambda router, registry: router.run(
+                    self._source(config).materialize(self.DURATION),
+                    self.DURATION,
+                    mode="sequential",
+                    fault_schedule=schedule,
+                    telemetry=registry,
+                ),
+                "parallel": lambda router, registry: router.run(
+                    self._source(config).materialize(self.DURATION),
+                    self.DURATION,
+                    mode="parallel",
+                    n_workers=2,
+                    fault_schedule=schedule,
+                    telemetry=registry,
+                ),
+            }
+            results = {}
+            for name, route in routes.items():
+                registry = MetricsRegistry()
+                report = route(
+                    SplitParallelSwitch(config, options=PFIOptions()), registry
+                )
+                results[name] = (
+                    json.dumps(
+                        dataclasses.asdict(report), sort_keys=True, default=str
+                    ),
+                    registry.dumps(),
+                )
+            assert results["stream"] == results["eager"] == results["parallel"]
+        assert report.failed_switches == [2]
+        assert report.failed_offered_bytes > 0
 
     def test_degradation_streams_identically_per_block_size(self):
         config = scaled_router()
