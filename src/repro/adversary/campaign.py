@@ -346,14 +346,18 @@ def run_attack_campaign(
         DeprecationWarning,
         stacklevel=2,
     )
+    from ..faults import FaultSchedule
     from ..runtime import AttackCampaign, Runtime
 
+    if failed_switches:
+        fault_schedule = (
+            fault_schedule or FaultSchedule()
+        ).with_failed_switches(failed_switches)
     return Runtime(n_workers=n_workers).run_campaign(
         AttackCampaign(
             config=config,
             params=params,
             fault_schedule=fault_schedule,
-            failed_switches=failed_switches,
         )
     )
 
@@ -367,7 +371,6 @@ def compare_splitters(
     duration_ns: float = 10_000.0,
     telemetry: bool = False,
     fault_schedule=None,
-    failed_switches: Optional[List[int]] = None,
     n_workers: Optional[int] = None,
     runtime=None,
     fidelity: str = "packet",
@@ -403,7 +406,6 @@ def compare_splitters(
                 config=config,
                 params=params,
                 fault_schedule=fault_schedule,
-                failed_switches=failed_switches,
                 fidelity=fidelity,
                 workload=workload,
             )

@@ -1,46 +1,8 @@
-"""Performance benchmarking harness.
+"""Process-level memory probes.
 
-Micro benches (event engine, traffic generation, single-switch run),
-the macro sequential-vs-parallel router bench, and the packet-vs-flow
-fidelity bench, with JSON export so the repo's performance trajectory
-is tracked revision over revision (``BENCH_<rev>.json``).  Run via
-``repro bench`` or the pytest smoke benches under ``benchmarks/perf/``.
+:mod:`repro.perf.rss_probe` measures the peak resident set of one
+streamed (or eager) switch run in a fresh subprocess; CI runs it at
+10^6 and 10^7 packets to assert that streamed memory stays flat.
+Throughput is measured by the same-host benchmark under ``perfbench/``
+and gated against the parent revision by ``tools/perfbench_ab.py``.
 """
-
-from .harness import (
-    BenchResult,
-    bench_adversary_campaign,
-    bench_control,
-    bench_engine,
-    bench_fabric,
-    bench_flow_engine,
-    bench_router_parallel,
-    bench_sweep_cached,
-    bench_switch,
-    bench_telemetry_overhead,
-    bench_traffic,
-    bench_traffic_stream,
-    run_benchmarks,
-    write_bench_json,
-)
-
-__all__ = [
-    "BenchResult",
-    "bench_adversary_campaign",
-    "bench_control",
-    "bench_engine",
-    "bench_fabric",
-    "bench_flow_engine",
-    "bench_traffic",
-    "bench_traffic_stream",
-    "bench_switch",
-    "bench_sweep_cached",
-    "bench_telemetry_overhead",
-    "bench_router_parallel",
-    "run_benchmarks",
-    "write_bench_json",
-]
-
-# The regression gate lives in repro.perf.compare; it is kept out of this
-# namespace so `python -m repro.perf.compare` runs without a double-import
-# warning.

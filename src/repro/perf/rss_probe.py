@@ -6,8 +6,8 @@ block by block through one switch must not move the resident set, while
 the eager ``materialize()`` path grows linearly with the packet count.
 ``ru_maxrss`` is a lifetime high-water mark, so two measurements taken
 inside one interpreter would only ever see the larger of the two -- each
-probe therefore runs in its own subprocess (:func:`measure_rss`) and
-reports a small JSON document on stdout.
+probe therefore runs in its own interpreter and reports a small JSON
+document on stdout.
 
 Run directly for one measurement::
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from typing import Any, Dict, Optional
@@ -130,45 +129,6 @@ def run_probe(
         "packets_per_sec": report.offered_packets / wall if wall > 0 else 0.0,
         "peak_rss_bytes": peak_rss_bytes(),
     }
-
-
-def measure_rss(
-    target_packets: int,
-    mode: str = "stream",
-    workload: str = "pareto",
-    load: float = 0.8,
-    seed: int = 0,
-    timeout_s: float = 3600.0,
-) -> Dict[str, Any]:
-    """Run one probe in a fresh subprocess and return its JSON document.
-
-    A fresh interpreter per measurement keeps ``ru_maxrss`` honest: the
-    high-water mark belongs to exactly one workload size.
-    """
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro.perf.rss_probe",
-        "--target-packets",
-        str(target_packets),
-        "--mode",
-        mode,
-        "--workload",
-        workload,
-        "--load",
-        str(load),
-        "--seed",
-        str(seed),
-    ]
-    proc = subprocess.run(
-        cmd, capture_output=True, text=True, timeout=timeout_s
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"rss probe failed (exit {proc.returncode}): "
-            f"{proc.stderr.strip()[-500:]}"
-        )
-    return json.loads(proc.stdout)
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -106,16 +106,16 @@ class AttackCampaign:
     Trial ``i`` derives its traffic and splitter seeds from
     ``SeedSequence((params.seed, i))`` -- the legacy
     ``run_attack_campaign`` recipe -- and composes with an optional
-    fault schedule / legacy ``failed_switches`` list, so the aggregate
-    :class:`~repro.adversary.campaign.AttackCampaignResult` (including
-    the trial-index-ordered telemetry merge) is byte-identical to the
-    pre-runtime implementation.
+    fault schedule (whole-run deaths via
+    :meth:`~repro.faults.FaultSchedule.from_failed_switches`), so the
+    aggregate :class:`~repro.adversary.campaign.AttackCampaignResult`
+    (including the trial-index-ordered telemetry merge) is
+    byte-identical to the pre-runtime implementation.
     """
 
     config: RouterConfig
     params: AttackCampaignParams
     fault_schedule: Optional[FaultSchedule] = None
-    failed_switches: Optional[Sequence[int]] = None
     fidelity: str = "packet"
     #: Optional :class:`~repro.control.ControlConfig` applied to every
     #: trial -- the closed-loop variant of the same campaign.
@@ -125,17 +125,10 @@ class AttackCampaign:
     #: the historical fixed-size Poisson carrier.
     workload: Optional[str] = None
 
-    def _composed_schedule(self) -> Optional[FaultSchedule]:
+    def scenarios(self) -> List[Scenario]:
         schedule = self.fault_schedule
-        if self.failed_switches:
-            extra = FaultSchedule.from_failed_switches(self.failed_switches)
-            schedule = extra if schedule is None else schedule.merged(extra)
         if schedule is not None:
             schedule.validate(self.config)
-        return schedule
-
-    def scenarios(self) -> List[Scenario]:
-        schedule = self._composed_schedule()
         cells = []
         for i in range(self.params.n_trials):
             traffic_seed, splitter_seed = trial_seeds(self.params.seed, i)

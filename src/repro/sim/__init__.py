@@ -22,7 +22,6 @@ from .parallel import (
 from .stats import (
     DropCounter,
     LatencyRecorder,
-    OccupancyTracker,
     ThroughputMeter,
 )
 from .trace import TraceRecord, TraceRecorder
@@ -36,7 +35,6 @@ __all__ = [
     "run_work_units",
     "ThroughputMeter",
     "LatencyRecorder",
-    "OccupancyTracker",
     "DropCounter",
     "TraceRecorder",
     "TraceRecord",

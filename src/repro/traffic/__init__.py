@@ -44,7 +44,6 @@ from .stream import (
     LoadProfile,
     TrafficSource,
     block_edges,
-    blocks_from_packets,
     workload_source,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "TrafficSource",
     "ArrivalBlock",
     "block_edges",
-    "blocks_from_packets",
     "DEFAULT_BLOCK_NS",
     "HeavyTailSource",
     "LoadProfile",

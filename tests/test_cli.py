@@ -154,15 +154,6 @@ class TestTimeseriesCmd:
         capsys.readouterr()
 
 
-class TestBenchAppendFlag:
-    def test_append_defaults_to_bench_history(self):
-        args = build_parser().parse_args(["bench", "--append"])
-        assert args.append == "BENCH_HISTORY.jsonl"
-        args = build_parser().parse_args(["bench", "--append", "h.jsonl"])
-        assert args.append == "h.jsonl"
-        assert build_parser().parse_args(["bench"]).append is None
-
-
 class TestTimeline:
     def test_renders_banks_and_bus(self, capsys):
         assert main(["timeline", "--frames", "2"]) == 0
@@ -231,6 +222,38 @@ class TestAttack:
 
         document = json.loads(capsys.readouterr().out)
         assert document["contiguous"]["trials"][0]["fault_events"]
+
+    def test_failed_switches_is_a_whole_run_schedule(self, tmp_path, capsys):
+        # --failed-switches builds the same cells (same scenario digests,
+        # so the same cache entries) as a campaign handed the schedule.
+        from repro.adversary import AttackCampaignParams, KnownAssignmentAttack
+        from repro.config import scaled_router
+        from repro.faults import FaultSchedule
+        from repro.runtime import AttackCampaign
+
+        argv = self.ARGS + ["--failed-switches", "1", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        cached = {path.name[:64] for path in tmp_path.glob("*/*.json")}
+
+        args = build_parser().parse_args(argv)
+        expected = set()
+        for splitter in ("contiguous", "pseudo-random"):
+            campaign = AttackCampaign(
+                config=scaled_router(n_ribbons=4, fibers_per_ribbon=16, n_switches=4),
+                params=AttackCampaignParams(
+                    strategy=KnownAssignmentAttack(victim=args.victim, oracle=args.oracle),
+                    splitter=splitter,
+                    n_trials=2,
+                    seed=args.seed,
+                    load=args.load,
+                    duration_ns=2_000.0,
+                ),
+                fault_schedule=FaultSchedule.from_failed_switches([1]),
+            )
+            expected |= {scenario.digest() for scenario in campaign.scenarios()}
+        assert len(expected) == 4
+        assert cached == expected
 
     def test_seed_sweep_table(self, capsys):
         assert main(self.ARGS + ["--seed-sweep", "10"]) == 0

@@ -11,7 +11,6 @@ from repro.core.input_port import InputPort
 from repro.core.output_port import OutputPort
 from repro.core.tail_sram import TailSRAM
 from repro.errors import ConfigError
-from repro.sim.stats import OccupancyTracker
 from tests.test_traffic_basics import make_packet
 
 K = 1024
@@ -178,15 +177,12 @@ _OPS = st.lists(
 def _check_high_water_mark(stage, operations):
     """Run ``operations`` (callables) against ``stage``; after each one
     the stage's high-water mark must equal the running maximum of its
-    occupancy, and the peak of an :class:`OccupancyTracker` fed every
     occupancy."""
     reference = 0
-    tracker = OccupancyTracker()
-    for now, operation in enumerate(operations):
+    for operation in operations:
         operation()
         reference = max(reference, stage.occupancy_bytes)
-        tracker.observe(stage.occupancy_bytes, float(now))
-        assert stage.peak_bytes == reference == tracker.peak
+        assert stage.peak_bytes == reference
 
 
 class TestHighWaterMarks:

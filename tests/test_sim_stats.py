@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import DropCounter, LatencyRecorder, OccupancyTracker, ThroughputMeter
+from repro.sim import DropCounter, LatencyRecorder, ThroughputMeter
 
 
 class TestThroughputMeter:
@@ -80,31 +80,6 @@ class TestLatencyRecorder:
         assert math.isnan(rec.minimum)
         assert math.isnan(rec.maximum)
         assert math.isnan(rec.percentile(50))
-
-
-class TestOccupancyTracker:
-    def test_peak(self):
-        tracker = OccupancyTracker()
-        tracker.observe(5, 0.0)
-        tracker.observe(12, 10.0)
-        tracker.observe(3, 20.0)
-        assert tracker.peak == 12
-        assert tracker.current == 3
-
-    def test_time_average(self):
-        tracker = OccupancyTracker()
-        tracker.observe(10, 0.0)
-        tracker.observe(0, 50.0)  # held 10 for the first 50 ns
-        assert tracker.time_average(until_ns=100.0) == pytest.approx(5.0)
-
-    def test_average_extends_current_value(self):
-        tracker = OccupancyTracker()
-        tracker.observe(4, 0.0)
-        assert tracker.time_average(until_ns=10.0) == pytest.approx(4.0)
-
-    def test_empty_tracker(self):
-        assert OccupancyTracker().time_average() == 0.0
-        assert OccupancyTracker().peak == 0.0
 
 
 class TestDropCounter:

@@ -41,7 +41,6 @@ from repro.traffic import (
     TrafficGenerator,
     TrafficSource,
     block_edges,
-    blocks_from_packets,
     load_trace,
     stream_trace,
     trace_to_string,
@@ -139,26 +138,6 @@ class TestBlockProtocol:
                 outputs=[1, 1], flows=(None, None),
                 start_ns=0.0, end_ns=10.0,
             )
-
-    def test_blocks_from_packets_round_trips_identity(self):
-        config = scaled_router().switch
-        gen = TrafficGenerator(
-            n_ports=4,
-            port_rate_bps=config.port_rate_bps,
-            matrix=uniform_matrix(4, 0.6),
-            size_dist=FixedSize(1500),
-            seed=1,
-        )
-        packets = gen.materialize(20_000.0)
-        rebuilt = [
-            p
-            for block in blocks_from_packets(packets, 20_000.0, 6_000.0)
-            for p in block.to_packets()
-        ]
-        # Identity, not just equality: precomputed per-packet state
-        # (fiber assignments) must follow the original objects.
-        assert all(a is b for a, b in zip(rebuilt, packets))
-        assert len(rebuilt) == len(packets)
 
 
 class TestGeneratorStreaming:
