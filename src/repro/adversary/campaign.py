@@ -6,12 +6,12 @@ against one splitter family for ``n_trials`` independent trials.  Trial
 ``np.random.SeedSequence((seed, i))`` -- stable across platforms and
 processes -- so the same params always produce the same trials no
 matter how they are scheduled.  Dispatch, caching and sharding live in
-the scenario runtime (:mod:`repro.runtime`); this module keeps the
-domain pieces -- seed derivation, the per-trial executor, the aggregate
--- plus a deprecated ``run_attack_campaign`` shim over
-:class:`repro.runtime.AttackCampaign`.  The unit of parallelism is the
-*trial* (each worker simulates its whole attacked router sequentially),
-exactly as the fault campaign parallelises over scenarios.
+the scenario runtime (:mod:`repro.runtime`,
+:class:`repro.runtime.AttackCampaign`); this module keeps the domain
+pieces -- seed derivation, the per-trial executor, the aggregate.  The
+unit of parallelism is the *trial* (each worker simulates its whole
+attacked router sequentially), exactly as the fault campaign
+parallelises over scenarios.
 
 Per trial we report two views of the same attack:
 
@@ -32,7 +32,6 @@ campaign dumps are byte-identical.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -55,7 +54,7 @@ from ..telemetry import (
     record_victim_series,
     tag_attack_window,
 )
-from .strategies import AttackStrategy
+from .strategies import AttackStrategy, attack_windows_for
 
 SPLITTER_KINDS = ("contiguous", "pseudo-random")
 
@@ -178,36 +177,24 @@ def execute_attack_trial(trial: AttackTrial) -> dict:
         )
 
     # Simulated view: the full pipeline on the strategy's packet stream.
-    workload = getattr(trial, "workload", None)
     packets, fibers = strategy.build_workload(
         config,
         splitter,
         trial.load,
         trial.duration_ns,
         trial.traffic_seed,
-        workload=workload,
+        workload=trial.workload,
     )
-    control = getattr(trial, "control", None)
-    control_summary = None
-    throttled_bytes = 0
-    if control is not None:
-        from ..control.packet import attack_windows_for, packet_control_prepass
+    loop = None
+    if trial.control is not None:
+        from ..control.loop import ControlLoop
 
-        fibers, throttled, loop = packet_control_prepass(
+        loop = ControlLoop.for_router(
+            trial.control,
             config,
-            control,
-            packets,
-            list(fibers),
-            splitter,
-            trial.duration_ns,
-            schedule=trial.fault_schedule,
-            attack_windows=attack_windows_for(strategy, trial.duration_ns),
             telemetry=registry,
+            attack_windows=attack_windows_for(strategy, trial.duration_ns),
         )
-        packets = [p for p, t in zip(packets, throttled) if not t]
-        fibers = [f for f, t in zip(fibers, throttled) if not t]
-        throttled_bytes = int(round(loop.throttled_bytes))
-        control_summary = loop.summary()
     router = SplitParallelSwitch(config, splitter=splitter)
     report = router.run(
         packets,
@@ -216,7 +203,9 @@ def execute_attack_trial(trial: AttackTrial) -> dict:
         drain=False,
         fault_schedule=trial.fault_schedule,
         telemetry=registry,
+        control=loop,
     )
+    throttled_bytes = int(round(loop.throttled_bytes)) if loop is not None else 0
     offered = report.per_switch_offered_bytes
     sim_total = float(sum(offered))
     sim_target = target if victim is not None else (
@@ -258,8 +247,8 @@ def execute_attack_trial(trial: AttackTrial) -> dict:
         "fault_events": list(report.fault_events),
         "telemetry": registry.to_dict() if registry is not None else None,
     }
-    if control_summary is not None:
-        summary["control"] = control_summary
+    if loop is not None:
+        summary["control"] = loop.summary()
     return summary
 
 
@@ -322,44 +311,6 @@ class AttackCampaignResult:
                 for t in self.trials
             ],
         }
-
-
-def run_attack_campaign(
-    config: RouterConfig,
-    params: AttackCampaignParams,
-    fault_schedule=None,
-    failed_switches: Optional[List[int]] = None,
-    n_workers: Optional[int] = None,
-) -> AttackCampaignResult:
-    """Deprecated shim over the scenario runtime.
-
-    Use :class:`repro.runtime.AttackCampaign` with
-    :meth:`repro.runtime.Runtime.run_campaign` instead -- same per-trial
-    seed-sequence recipe, same :class:`AttackCampaignResult` (including
-    the trial-index-ordered telemetry merge), byte-identical output for
-    the same seeds, plus caching/resume/sharding the legacy entrypoint
-    never had.
-    """
-    warnings.warn(
-        "repro.adversary.campaign.run_attack_campaign is deprecated; use "
-        "repro.runtime.Runtime.run_campaign(repro.runtime.AttackCampaign(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..faults import FaultSchedule
-    from ..runtime import AttackCampaign, Runtime
-
-    if failed_switches:
-        fault_schedule = (
-            fault_schedule or FaultSchedule()
-        ).with_failed_switches(failed_switches)
-    return Runtime(n_workers=n_workers).run_campaign(
-        AttackCampaign(
-            config=config,
-            params=params,
-            fault_schedule=fault_schedule,
-        )
-    )
 
 
 def compare_splitters(

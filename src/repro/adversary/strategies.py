@@ -544,6 +544,27 @@ class BurstSynchronizedAttack(AttackStrategy):
         )
 
 
+def attack_windows_for(
+    strategy: AttackStrategy, duration_ns: float
+) -> Tuple[Tuple[float, float], ...]:
+    """The windows during which ``repro_attack_active_window`` fires.
+
+    Burst strategies expose their ON windows; every other strategy
+    shapes the whole run, so the window is the full horizon (matching
+    :func:`repro.telemetry.tag_attack_window`'s 0..duration tag).
+    """
+    if isinstance(strategy, BurstSynchronizedAttack):
+        on_ns = strategy.duty * strategy.period_ns
+        windows: List[Tuple[float, float]] = []
+        index = 0
+        while index * strategy.period_ns < duration_ns:
+            start = index * strategy.period_ns
+            windows.append((start, min(start + on_ns, duration_ns)))
+            index += 1
+        return tuple(windows)
+    return ((0.0, duration_ns),)
+
+
 #: CLI name -> strategy class.
 STRATEGIES = {
     KnownAssignmentAttack.name: KnownAssignmentAttack,

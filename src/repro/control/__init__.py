@@ -15,7 +15,8 @@ wanctl/CAKE-shaped controllers per switch:
 Everything is deterministic and declarative: a frozen
 :class:`ControlConfig` rides on the :class:`~repro.runtime.Scenario`
 (participating in its digest), the loop ticks on window boundaries in
-both fidelities, and every decision lands in a byte-reproducible
+both fidelities -- at packet fidelity inside the router core, on the
+switches' own signals -- and every decision lands in a byte-reproducible
 ``repro-control-v1`` action stream plus ``repro_control_*`` time
 series.
 """
@@ -37,7 +38,6 @@ from .config import (
 )
 from .controller import GREEN, RED, SOFT_RED, STATES, YELLOW, Controller
 from .loop import CONTROL_STATE, CONTROL_THROTTLE, ControlLoop
-from .packet import packet_control_prepass
 
 __all__ = [
     "ACTION_FIELDS",
@@ -60,6 +60,5 @@ __all__ = [
     "YELLOW",
     "compare_attack_loops",
     "compare_fault_loops",
-    "packet_control_prepass",
     "validate_control_actions",
 ]

@@ -1,13 +1,15 @@
 """The closed loop: per-switch controllers driven on window ticks.
 
 One :class:`ControlLoop` instance governs one router run.  The engine
-(fluid or packet pre-pass) calls :meth:`tick` at every control period
-boundary with the per-switch signals observed over the *previous* tick
-window -- offered bytes, delivered bytes and buffer backlog -- plus the
-attack-window flag.  The loop folds them through the three controller
-families (:mod:`repro.control.config`) and exposes two actuator arrays
-the engine applies to the *next* window (decisions are causal: the
-control plane only ever sees the past):
+(the fluid tandem, or the packet router core of
+:class:`~repro.core.sps.SplitParallelSwitch`) calls :meth:`tick` at
+every control period boundary with the per-switch signals observed over
+the *previous* tick window -- offered bytes, delivered bytes and buffer
+backlog; the attack-window flag comes from the windows the loop was
+built with.  The loop folds them through the three controller families
+(:mod:`repro.control.config`) and exposes two actuator arrays the
+engine applies to the *next* window (decisions are causal: the control
+plane only ever sees the past):
 
 - ``admit``  -- per-switch ingress admission fraction in
   ``[floor, 1]``: the fraction of traffic addressed to switch ``h``
@@ -29,7 +31,7 @@ series, windowed at the control period.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +49,12 @@ _SIGNAL_EPS = 1.0
 
 
 class ControlLoop:
-    """Drives one run's controllers; owns the actuator state."""
+    """Drives one run's controllers; owns the actuator state.
+
+    ``attack_windows`` are the ``[start, end)`` spans during which
+    ``repro_attack_active_window`` fires; a tick whose window overlaps
+    one arms the mitigation controller.
+    """
 
     def __init__(
         self,
@@ -56,12 +63,14 @@ class ControlLoop:
         occupancy_limit_bytes: float,
         log: Optional[ActionLog] = None,
         telemetry=None,
+        attack_windows: Sequence[Tuple[float, float]] = (),
     ) -> None:
         self.config = config
         self.n_switches = n_switches
         self.occupancy_limit = float(occupancy_limit_bytes)
         self.log = log if log is not None else ActionLog()
         self.telemetry = telemetry
+        self.attack_windows = tuple(attack_windows)
         self.ticks = 0
         self.n_state_changes = 0
         self.throttled_bytes = 0.0
@@ -86,6 +95,27 @@ class ControlLoop:
             ],
         )
 
+    @classmethod
+    def for_router(
+        cls,
+        config: ControlConfig,
+        router_config,
+        telemetry=None,
+        attack_windows: Sequence[Tuple[float, float]] = (),
+    ) -> "ControlLoop":
+        """The loop of one run of a :class:`~repro.config.RouterConfig`
+        router: one controller bank per switch, the admission controller
+        guarding each switch's buffer limit."""
+        from ..flow.engine import buffer_limit_bytes
+
+        return cls(
+            config,
+            router_config.n_switches,
+            buffer_limit_bytes(router_config.switch),
+            telemetry=telemetry,
+            attack_windows=attack_windows,
+        )
+
     # -- the tick ------------------------------------------------------------
 
     def tick(
@@ -94,13 +124,21 @@ class ControlLoop:
         offered: np.ndarray,
         delivered: np.ndarray,
         backlog: np.ndarray,
-        attack_active: bool = False,
+        attack_active: Optional[bool] = None,
     ) -> None:
         """Fold one window's per-switch signals; update the actuators.
 
         ``offered``/``delivered``/``backlog`` are (H,) byte arrays for
         the window that just closed.  Decisions apply from ``t_ns`` on.
+        ``attack_active`` defaults to whether the closed window
+        ``[t_ns - tick_ns, t_ns)`` overlaps one of the loop's attack
+        windows.
         """
+        if attack_active is None:
+            start = t_ns - self.config.tick_ns
+            attack_active = any(
+                s < t_ns and e > start for s, e in self.attack_windows
+            )
         index = self.ticks
         self.ticks += 1
         total = float(offered.sum())

@@ -1,42 +1,38 @@
-"""Packet-fidelity control: a causal split-level pre-pass.
+"""Packet-fidelity control: the loop closed inside the router core.
 
-The packet engine (:class:`~repro.core.sps.SplitParallelSwitch`)
-consumes a complete workload up front, so the control plane acts where
-a real SPS control plane would: at the split, before packets commit to
-a fiber.  :func:`packet_control_prepass` walks the workload in arrival
-order through the same tick cadence as the fluid loop -- tick ``k``'s
-actuation is computed purely from tick ``k-1``'s signals -- and
-produces a *modified* workload:
+A closed-loop packet run goes through the same split -> step -> report
+core as every other router run
+(:meth:`~repro.core.sps.SplitParallelSwitch._run_chunks`).
+:class:`SplitControl` cuts the run's traffic at the control ticks
+``k * tick_ns``, whether it arrives as one eager list or as streamed
+blocks, and acts where a real SPS control plane would: at the split,
+before packets commit to a fiber.
 
 - **reweight** -- a packet bound for a down-weighted switch is
   deterministically redirected (error diffusion per switch, smooth
   weighted round-robin over the healthier switches, round-robin over
   the ribbon's fibers feeding the new switch via
   :meth:`~repro.core.fiber_split.FiberSplitter.fibers_to`);
-- **admission / mitigation** -- a throttled packet is marked and
-  excluded from the simulation; it stays in the workload for offered
-  accounting (a throttled byte is an explicit backpressure loss, never
-  a vanished offer).
+- **admission / mitigation** -- a throttled packet never reaches the
+  split; its bytes are tallied per switch (a throttled byte is an
+  explicit backpressure loss, never a vanished offer).
 
-Signals are what switch hardware can actually report per tick: offered
-bytes at the split, a leaky-bucket occupancy estimate drained at the
-switch's aggregate egress rate, and the loss-of-light indication of a
-dead switch (``delivered = 0`` while its fault window covers the tick).
-The pre-pass is pure and deterministic -- no RNG, no clock -- and runs
-before the (sequential or parallel) engine pass, so the repo-wide
-sequential == parallel byte-identity is untouched.
+At each tick every live switch has been stepped to the boundary, so the
+loop reads what the switches themselves hold: the bytes offered to each
+switch at the split (throttled bytes included), the bytes its outputs
+delivered, and its queued payload.  A dead switch delivers nothing by
+itself.  Tick ``k``'s decisions apply to the traffic after it and were
+computed purely from the window before it.  Nothing here draws random
+numbers or reads a clock.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import math
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import RouterConfig
-from ..units import rate_to_bytes_per_ns
-from .actions import ActionLog
-from .config import ControlConfig
 from .loop import ControlLoop
 
 #: Multiplier below which a switch's weight counts as actuated (floats
@@ -44,254 +40,122 @@ from .loop import ControlLoop
 _WEIGHT_EPS = 1e-9
 
 
-def attack_windows_for(strategy, duration_ns: float) -> Tuple[Tuple[float, float], ...]:
-    """The windows during which ``repro_attack_active_window`` fires.
+class SplitControl:
+    """One closed-loop router run's control plane at the split."""
 
-    Burst strategies expose their ON windows; every other strategy
-    shapes the whole run, so the window is the full horizon (matching
-    :func:`repro.telemetry.tag_attack_window`'s 0..duration tag).
-    """
-    from ..adversary.strategies import BurstSynchronizedAttack
+    def __init__(self, loop: ControlLoop, router, duration_ns: float) -> None:
+        config = router.config
+        n_switches = config.n_switches
+        self.loop = loop
+        self.tick_ns = loop.config.tick_ns
+        self.n_ticks = max(math.ceil(duration_ns / self.tick_ns - 1e-9), 1)
+        self._next_tick = 1
+        splitter = router.splitter
+        self._assignments = [
+            splitter.assignment(r) for r in range(config.n_ribbons)
+        ]
+        self._lanes = [
+            [splitter.fibers_to(r, h) for h in range(n_switches)]
+            for r in range(config.n_ribbons)
+        ]
+        self._lane_cursor = np.zeros((config.n_ribbons, n_switches), dtype=np.int64)
+        self._keep_credit = np.zeros(n_switches)  # reweight error diffusion
+        self._admit_credit = np.zeros(n_switches)  # admission error diffusion
+        self._wrr_credit = np.zeros(n_switches)  # smooth WRR over switches
+        #: Bytes throttled per switch so far.
+        self.throttled = np.zeros(n_switches)
+        self._offered_seen = np.zeros(n_switches)
+        self._delivered_seen = np.zeros(n_switches)
 
-    if isinstance(strategy, BurstSynchronizedAttack):
-        on_ns = strategy.duty * strategy.period_ns
-        windows: List[Tuple[float, float]] = []
-        index = 0
-        while index * strategy.period_ns < duration_ns:
-            start = index * strategy.period_ns
-            windows.append((start, min(start + on_ns, duration_ns)))
-            index += 1
-        return tuple(windows)
-    return ((0.0, duration_ns),)
+    def pieces(
+        self, packets: Sequence, fibers: Sequence[int], boundary_ns: float
+    ) -> Iterator[Tuple[List, List[int], float, Optional[float]]]:
+        """Cut one chunk at the ticks it spans; actuate each piece.
 
+        Yields ``(packets, fibers, boundary_ns, tick_ns)``; ``tick_ns``
+        is set when the piece ends on a tick, and the caller then calls
+        :meth:`tick` before pulling the next piece -- which is actuated
+        only when pulled, so it sees that tick's decisions.
+        """
+        tick_ns = self.tick_ns
+        arrivals = np.fromiter(
+            (p.arrival_ns for p in packets), np.float64, len(packets)
+        )
+        index = np.minimum((arrivals / tick_ns).astype(np.int64), self.n_ticks - 1)
+        order = np.argsort(index, kind="stable")
+        index = index[order]
+        start = 0
+        while (
+            self._next_tick < self.n_ticks
+            and self._next_tick * tick_ns <= boundary_ns
+        ):
+            at = self._next_tick * tick_ns
+            stop = int(np.searchsorted(index, self._next_tick))
+            yield (*self._actuate(packets, fibers, order[start:stop]), at, at)
+            start = stop
+            self._next_tick += 1
+        yield (*self._actuate(packets, fibers, order[start:]), boundary_ns, None)
 
-class _SmoothWRR:
-    """Deterministic smooth weighted round-robin over the switches."""
-
-    def __init__(self, n: int) -> None:
-        self.credit = np.zeros(n)
-
-    def pick(self, weights: np.ndarray) -> int:
-        self.credit += weights
-        choice = int(np.argmax(self.credit))
-        self.credit[choice] -= float(weights.sum())
-        return choice
-
-
-def packet_control_prepass(
-    config: RouterConfig,
-    control: ControlConfig,
-    packets: Sequence,
-    fibers: Sequence[int],
-    splitter,
-    duration_ns: float,
-    schedule=None,
-    attack_windows: Optional[Sequence[Tuple[float, float]]] = None,
-    telemetry=None,
-    log: Optional[ActionLog] = None,
-) -> Tuple[List[int], List[bool], ControlLoop]:
-    """Run the control loop over a packet workload before the engine.
-
-    Returns ``(new_fibers, throttled, loop)``: the (possibly
-    reassigned) fiber per packet, a per-packet throttle mask, and the
-    finished :class:`ControlLoop` (its action log carries the
-    ``repro-control-v1`` stream, its ``throttled_bytes`` the
-    backpressured total).
-    """
-    from ..flow.engine import buffer_limit_bytes
-
-    n_switches = config.n_switches
-    n_ribbons = config.n_ribbons
-    switch = config.switch
-    tick_ns = control.tick_ns
-    n_ticks = max(int(np.ceil(duration_ns / tick_ns - 1e-9)), 1)
-    capacity_per_tick = (
-        rate_to_bytes_per_ns(switch.port_rate_bps) * switch.n_ports * tick_ns
-    )
-
-    loop = ControlLoop(
-        control,
-        n_switches,
-        buffer_limit_bytes(switch),
-        log=log,
-        telemetry=telemetry,
-    )
-
-    assignments = [splitter.assignment_array(r) for r in range(n_ribbons)]
-    fibers_by_switch = [
-        [splitter.fibers_to(r, h) for h in range(n_switches)]
-        for r in range(n_ribbons)
-    ]
-    fiber_cursor = np.zeros((n_ribbons, n_switches), dtype=np.int64)
-
-    dead_always = (
-        set(schedule.whole_run_dead_switches()) if schedule is not None else set()
-    )
-    views = (
-        {
-            h: schedule.switch_view(h, switch.total_channels)
-            for h in range(n_switches)
-            if h not in dead_always
-        }
-        if schedule is not None
-        else {}
-    )
-
-    def dead_in_tick(h: int, tick: int) -> bool:
-        if h in dead_always:
-            return True
-        view = views.get(h)
-        if view is None:
-            return False
-        return view.dead_at((tick + 0.5) * tick_ns)
-
-    spans = tuple(attack_windows) if attack_windows else ()
-
-    def attack_active_in(start: float, end: float) -> bool:
-        return any(s < end and e > start for s, e in spans)
-
-    # Deterministic arrival-order walk regardless of input list order.
-    arrivals = np.asarray([p.arrival_ns for p in packets], dtype=np.float64)
-    order = np.argsort(arrivals, kind="stable")
-    ticks_of = np.minimum(
-        (arrivals / tick_ns).astype(np.int64), n_ticks - 1
-    )
-
-    new_fibers = list(fibers)
-    throttled = [False] * len(new_fibers)
-    throttled_bytes = 0
-    bucket = np.zeros(n_switches)  # leaky-bucket occupancy estimate
-    offered_now = np.zeros(n_switches)
-    keep_credit = np.zeros(n_switches)  # reweight error diffusion
-    admit_credit = np.zeros(n_switches)  # admission error diffusion
-    wrr = _SmoothWRR(n_switches)
-
-    pos = 0
-    for tick in range(n_ticks):
-        if tick > 0:
-            # Close tick-1's window: served bytes per switch (zero while
-            # its loss-of-light indication is up), then actuate tick.
-            served = np.minimum(bucket, capacity_per_tick)
-            for h in range(n_switches):
-                if dead_in_tick(h, tick - 1):
-                    served[h] = 0.0
-            bucket -= served
-            loop.tick(
-                tick * tick_ns,
-                offered_now,
-                served,
-                bucket.copy(),
-                attack_active=attack_active_in(
-                    (tick - 1) * tick_ns, tick * tick_ns
-                ),
-            )
-            offered_now = np.zeros(n_switches)
-        while pos < len(order) and ticks_of[order[pos]] == tick:
-            i = int(order[pos])
-            pos += 1
+    def _actuate(
+        self, packets: Sequence, fibers: Sequence[int], order: np.ndarray
+    ) -> Tuple[List, List[int]]:
+        """Reweight and thin the packets at ``order`` for the split."""
+        loop = self.loop
+        weight = loop.weight
+        admit = loop.admit
+        keep_credit = self._keep_credit
+        admit_credit = self._admit_credit
+        assignments = self._assignments
+        kept: List = []
+        kept_fibers: List[int] = []
+        for i in order.tolist():
             packet = packets[i]
+            fiber = fibers[i]
             ribbon = packet.input_port
-            target = int(assignments[ribbon][new_fibers[i]])
-            if loop.weight[target] < 1.0 - _WEIGHT_EPS:
-                keep_credit[target] += loop.weight[target]
+            target = assignments[ribbon][fiber]
+            if weight[target] < 1.0 - _WEIGHT_EPS:
+                keep_credit[target] += weight[target]
                 if keep_credit[target] >= 1.0:
                     keep_credit[target] -= 1.0
                 else:
-                    target = wrr.pick(loop.weight)
-                    lanes = fibers_by_switch[ribbon][target]
-                    cursor = fiber_cursor[ribbon, target]
-                    new_fibers[i] = lanes[cursor % len(lanes)]
-                    fiber_cursor[ribbon, target] = cursor + 1
-            offered_now[target] += packet.size_bytes
-            admit = float(loop.admit[target])
-            admit_credit[target] += admit
+                    self._wrr_credit += weight
+                    target = int(np.argmax(self._wrr_credit))
+                    self._wrr_credit[target] -= float(weight.sum())
+                    lanes = self._lanes[ribbon][target]
+                    cursor = self._lane_cursor[ribbon, target]
+                    fiber = lanes[cursor % len(lanes)]
+                    self._lane_cursor[ribbon, target] = cursor + 1
+            admit_credit[target] += admit[target]
             if admit_credit[target] >= 1.0:
                 admit_credit[target] -= 1.0
-                if not dead_in_tick(target, tick):
-                    bucket[target] += packet.size_bytes
+                kept.append(packet)
+                kept_fibers.append(fiber)
             else:
-                throttled[i] = True
-                throttled_bytes += packet.size_bytes
+                self.throttled[target] += packet.size_bytes
+        return kept, kept_fibers
 
-    loop.throttled_bytes = float(throttled_bytes)
-    loop.finish(duration_ns)
-    return new_fibers, throttled, loop
+    def tick(self, t_ns: float, split, switches: Sequence) -> None:
+        """Close the window ending at ``t_ns`` on the switches' signals.
 
+        ``split`` is the run's :class:`~repro.core.sps._Split` and
+        ``switches`` its live switches (``split.live`` order), each
+        stepped to ``t_ns``.
+        """
+        offered = np.asarray(split.offered, dtype=np.float64) + self.throttled
+        delivered = np.zeros(self.loop.n_switches)
+        backlog = np.zeros(self.loop.n_switches)
+        for h, switch in zip(split.live, switches):
+            delivered[h] = switch.delivered_bytes
+            backlog[h] = switch.tracked_residual_bytes
+        self.loop.tick(
+            t_ns,
+            offered - self._offered_seen,
+            delivered - self._delivered_seen,
+            backlog,
+        )
+        self._offered_seen = offered
+        self._delivered_seen = delivered
 
-def measure_degradation_controlled(
-    config: RouterConfig,
-    control: ControlConfig,
-    schedule=None,
-    load: float = 0.6,
-    duration_ns: float = 40_000.0,
-    seed: int = 0,
-    n_intervals: int = 8,
-    options=None,
-    telemetry=None,
-    log: Optional[ActionLog] = None,
-):
-    """Closed-loop twin of :func:`repro.faults.report.measure_degradation`.
-
-    Same traffic, same round-robin baseline fiber spread, same
-    sequential engine pass -- with the control pre-pass in between.
-    Offered bytes count *all* generated packets (throttled ones bin as
-    offered-but-undelivered and are added back to the byte totals as
-    losses), so the delivered fraction is measured against the original
-    offer, never against a throttle-shrunk one.
-
-    Returns ``(report, loop)``.
-    """
-    from ..core.fiber_split import PseudoRandomSplitter
-    from ..core.pfi import PFIOptions
-    from ..core.sps import SplitParallelSwitch
-    from ..faults.report import (
-        DegradationReport,
-        bin_packets,
-        deterministic_fibers,
-        router_fault_traffic,
-    )
-
-    if options is None:
-        options = PFIOptions(padding=True, bypass=True)
-    packets = router_fault_traffic(
-        config, load=load, duration_ns=duration_ns, seed=seed
-    )
-    fibers = deterministic_fibers(packets, config.fibers_per_ribbon)
-    splitter = PseudoRandomSplitter(config.fibers_per_ribbon, config.n_switches)
-    new_fibers, throttled, loop = packet_control_prepass(
-        config,
-        control,
-        packets,
-        fibers,
-        splitter,
-        duration_ns,
-        schedule=schedule,
-        telemetry=telemetry,
-        log=log,
-    )
-    kept = [p for p, t in zip(packets, throttled) if not t]
-    kept_fibers = [f for f, t in zip(new_fibers, throttled) if not t]
-    router = SplitParallelSwitch(config, options=options, splitter=splitter)
-    report = router.run(
-        kept,
-        duration_ns,
-        fibers=kept_fibers,
-        fault_schedule=schedule,
-        mode="sequential",
-        telemetry=telemetry,
-    )
-    throttled_bytes = int(round(loop.throttled_bytes))
-    return (
-        DegradationReport(
-            duration_ns=duration_ns,
-            intervals=bin_packets(packets, duration_ns, n_intervals),
-            offered_bytes=report.offered_bytes + throttled_bytes,
-            delivered_bytes=report.delivered_bytes,
-            lost_bytes=report.lost_bytes + throttled_bytes,
-            residual_bytes=report.residual_bytes,
-            failed_switches=list(report.failed_switches),
-            fault_events=list(report.fault_events),
-            control=loop.summary(),
-        ),
-        loop,
-    )
+    def finish(self, duration_ns: float) -> None:
+        self.loop.throttled_bytes = float(self.throttled.sum())
+        self.loop.finish(duration_ns)

@@ -312,6 +312,11 @@ class HBMSwitch:
         """
         return self._residual_payload
 
+    @property
+    def delivered_bytes(self) -> int:
+        """Payload the output ports have put on the wire so far."""
+        return sum(o.throughput.total_bytes for o in self.outputs)
+
     def residual_payload_bytes(self) -> int:
         """Payload still inside the switch (queues + flight), by rescan."""
         input_bytes = sum(p.partial_bytes for p in self.inputs)
@@ -341,10 +346,9 @@ class HBMSwitch:
 
     def audit(self) -> Dict[str, int]:
         """Byte-conservation snapshot: offered = delivered + dropped + residual."""
-        delivered = sum(o.throughput.total_bytes for o in self.outputs)
         snapshot = {
             "offered": self._offered_bytes,
-            "delivered": delivered,
+            "delivered": self.delivered_bytes,
             "dropped": self.dropped_bytes(),
             "residual": self.residual_payload_bytes(),
         }
@@ -523,7 +527,7 @@ class HBMSwitch:
             )
             count = sum(len(o.breakdown[stage]) for o in self.outputs)
             breakdown[stage] = total / count if count else float("nan")
-        delivered_bytes = sum(o.throughput.total_bytes for o in self.outputs)
+        delivered_bytes = self.delivered_bytes
         drops_by_reason: Dict[str, int] = {}
         for port in self.inputs:
             for reason, count in port.drops.by_reason.items():

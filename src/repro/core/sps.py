@@ -15,6 +15,7 @@ hashing on the 5-tuple.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -275,6 +276,7 @@ class SplitParallelSwitch:
         n_workers: Optional[int] = None,
         fault_schedule=None,
         telemetry=None,
+        control=None,
     ) -> RouterReport:
         """Simulate the whole router.
 
@@ -318,11 +320,19 @@ class SplitParallelSwitch:
         order is fixed, parallel and sequential runs of the same
         workload produce byte-identical dumps.  The merged dump is also
         stored on :attr:`RouterReport.telemetry`.
+
+        ``control`` (a :class:`~repro.control.ControlLoop`) closes the
+        control loop inside the router core (see :meth:`_run_chunks`).
+        The loop reads the switches as they run, so a closed-loop run
+        always takes the in-process core whatever ``mode`` says --
+        sequential == parallel by construction.
         """
         if mode not in RUN_MODES:
             raise ConfigError(f"mode must be one of {RUN_MODES}, got {mode!r}")
         split = _Split(self, fault_schedule, telemetry)
-        if mode == "auto":
+        if control is not None:
+            mode = "sequential"
+        elif mode == "auto":
             workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
             parallel = len(split.live) > 1 and workers > 1
             mode = "parallel" if parallel else "sequential"
@@ -330,7 +340,11 @@ class SplitParallelSwitch:
             fibers = assign_fibers(packets, self.config.fibers_per_ribbon)
         if mode == "sequential":
             return self._run_chunks(
-                split, [(packets, fibers, duration_ns)], duration_ns, drain
+                split,
+                [(packets, fibers, duration_ns)],
+                duration_ns,
+                drain,
+                control=control,
             )
         per_switch = split.split(packets, fibers)
         units = [
@@ -360,6 +374,7 @@ class SplitParallelSwitch:
         telemetry=None,
         departure_sink=None,
         latency_sample_cap: Optional[int] = None,
+        control=None,
     ) -> RouterReport:
         """Simulate the router from a stream of arrival blocks.
 
@@ -388,6 +403,7 @@ class SplitParallelSwitch:
         ``latency_sample_cap`` bounds retained latency samples per
         output port (see :class:`~repro.sim.stats.LatencyRecorder`);
         both default to off, keeping the bit-exact historical path.
+        ``control`` closes the control loop, as in :meth:`run`.
         """
         split = _Split(self, fault_schedule, telemetry)
         n_fibers = self.config.fibers_per_ribbon
@@ -410,6 +426,7 @@ class SplitParallelSwitch:
             max_drain_ns=max_drain_ns,
             departure_sink=departure_sink,
             latency_sample_cap=latency_sample_cap,
+            control=control,
         )
 
     def _run_chunks(
@@ -421,6 +438,7 @@ class SplitParallelSwitch:
         max_drain_ns: Optional[float] = None,
         departure_sink=None,
         latency_sample_cap: Optional[int] = None,
+        control=None,
     ) -> RouterReport:
         """The router core: split each ``(packets, fibers, boundary_ns)``
         chunk, step every live switch to the chunk's boundary, then
@@ -430,7 +448,19 @@ class SplitParallelSwitch:
         before the next is offered: the switches are independent, so
         each one's events are unchanged, and only one switch's arrival
         cursor is held at a time.
+
+        With a ``control`` loop the chunks are further cut at the
+        control ticks (:class:`~repro.control.packet.SplitControl`):
+        each tick reads the switches stepped to it, and the next piece
+        is reweighted and thinned just before the split.
         """
+        closed = None
+        if control is not None:
+            from ..control.packet import SplitControl
+
+            closed = SplitControl(control, self, duration_ns)
+            # A closing empty chunk fires the ticks past the last block.
+            chunks = itertools.chain(chunks, [((), (), duration_ns)])
         switches = [
             build_switch(
                 h,
@@ -448,11 +478,17 @@ class SplitParallelSwitch:
                 for output in switch.outputs:
                     output.departure_sink = departure_sink
             switch.stream_begin()
-        for packets, fibers, boundary_ns in chunks:
-            per_switch = split.split(packets, fibers)
-            for h, switch in zip(split.live, switches):
-                switch.stream_offer(per_switch[h], duration_ns)
-                switch.stream_advance(boundary_ns)
+        for chunk in chunks:
+            pieces = [(*chunk, None)] if closed is None else closed.pieces(*chunk)
+            for packets, fibers, boundary_ns, tick_ns in pieces:
+                per_switch = split.split(packets, fibers)
+                for h, switch in zip(split.live, switches):
+                    switch.stream_offer(per_switch[h], duration_ns)
+                    switch.stream_advance(boundary_ns)
+                if tick_ns is not None:
+                    closed.tick(tick_ns, split, switches)
+        if closed is not None:
+            closed.finish(duration_ns)
         reports: List[SwitchReport] = []
         for switch in switches:
             report = switch.stream_finish(duration_ns, drain, max_drain_ns)

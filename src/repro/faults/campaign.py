@@ -12,15 +12,13 @@ Scenarios are independent, so the fan-out parallelises *between*
 scenarios (each worker simulates its whole faulted router
 sequentially), the natural unit here just as the switch is for one run.
 Dispatch, caching and sharding live in the scenario runtime
-(:mod:`repro.runtime`); this module keeps the domain pieces -- the
-MTBF/MTTR drawing recipe, the per-cell executor and the aggregate --
-plus a deprecated ``run_campaign`` shim over
-:class:`repro.runtime.FaultCampaign`.
+(:mod:`repro.runtime`, :class:`repro.runtime.FaultCampaign`); this
+module keeps the domain pieces -- the MTBF/MTTR drawing recipe, the
+per-cell executor and the aggregate.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -170,42 +168,24 @@ class FaultScenario:
     control: object = None
     #: Optional streaming workload spec
     #: (:func:`~repro.traffic.stream.workload_source`); ``None`` keeps
-    #: the historical smooth fixed-size traffic.  Open-loop only.
+    #: the historical smooth fixed-size traffic.  Composes with
+    #: ``control``.
     workload: Optional[str] = None
 
 
 def execute_fault_scenario(scenario: FaultScenario) -> dict:
     """Run one scenario; returns its summary dict (module-level so it
     pickles for worker processes)."""
-    control = getattr(scenario, "control", None)
-    workload = getattr(scenario, "workload", None)
-    if control is not None:
-        if workload is not None:
-            raise ConfigError(
-                "workload streaming composes with open-loop fault cells "
-                "only (the control prepass materializes the packet list)"
-            )
-        from ..control.packet import measure_degradation_controlled
-
-        report, _ = measure_degradation_controlled(
-            scenario.config,
-            control,
-            schedule=scenario.schedule,
-            load=scenario.load,
-            duration_ns=scenario.duration_ns,
-            seed=scenario.seed,
-            n_intervals=scenario.n_intervals,
-        )
-    else:
-        report = measure_degradation(
-            scenario.config,
-            schedule=scenario.schedule,
-            load=scenario.load,
-            duration_ns=scenario.duration_ns,
-            seed=scenario.seed,
-            n_intervals=scenario.n_intervals,
-            workload=workload,
-        )
+    report = measure_degradation(
+        scenario.config,
+        schedule=scenario.schedule,
+        load=scenario.load,
+        duration_ns=scenario.duration_ns,
+        seed=scenario.seed,
+        n_intervals=scenario.n_intervals,
+        workload=scenario.workload,
+        control=scenario.control,
+    )
     summary = {
         "scenario": scenario.index,
         "n_events": len(scenario.schedule),
@@ -269,31 +249,3 @@ class CampaignResult:
             ),
             "scenarios": self.scenarios,
         }
-
-
-def run_campaign(
-    config: RouterConfig,
-    params: CampaignParams,
-    base_schedule: Optional[FaultSchedule] = None,
-    n_workers: Optional[int] = None,
-) -> CampaignResult:
-    """Deprecated shim over the scenario runtime.
-
-    Use :class:`repro.runtime.FaultCampaign` with
-    :meth:`repro.runtime.Runtime.run_campaign` instead -- same drawing
-    recipe (schedules from per-scenario seeded RNGs, drawn up front in
-    the parent), same :class:`CampaignResult`, byte-identical output for
-    the same ``(config, params, seed)``, plus caching/resume/sharding
-    the legacy entrypoint never had.
-    """
-    warnings.warn(
-        "repro.faults.campaign.run_campaign is deprecated; use "
-        "repro.runtime.Runtime.run_campaign(repro.runtime.FaultCampaign(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..runtime import FaultCampaign, Runtime
-
-    return Runtime(n_workers=n_workers).run_campaign(
-        FaultCampaign(config=config, params=params, base_schedule=base_schedule)
-    )

@@ -17,7 +17,7 @@ back onto the caller's packet objects; departures during the drain tail
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..config import RouterConfig
 from ..core.pfi import PFIOptions
@@ -247,18 +247,16 @@ def measure_degradation(
     seed: int = 0,
     n_intervals: int = 8,
     options: Optional[PFIOptions] = None,
-    round_robin_fibers: bool = True,
-    packets: Optional[Sequence] = None,
     telemetry=None,
     workload: Optional[str] = None,
+    control=None,
 ) -> DegradationReport:
     """Run one faulted router simulation and bin it over time.
 
     Sequential execution on purpose: the binning needs per-packet
-    departures, which only the sequential path produces.
-    ``round_robin_fibers`` (the default) spreads packets
-    deterministically over fibers so measured capacity matches the
-    (H - k)/H closed form without multinomial hash noise.
+    departures, which only the sequential path produces.  Packets are
+    spread round-robin over each ribbon's fibers, so measured capacity
+    matches the (H - k)/H closed form without multinomial hash noise.
 
     ``workload`` selects a streaming traffic family
     (:func:`~repro.traffic.stream.workload_source` spec, e.g.
@@ -266,7 +264,14 @@ def measure_degradation(
     smooth fixed-size traffic; the run then consumes arrival blocks
     incrementally -- offered bytes are binned as blocks are offered and
     delivered bytes via the per-departure sink, so no packet list is
-    ever materialized.  Mutually exclusive with ``packets``.
+    ever materialized.
+
+    ``control`` (a :class:`~repro.control.ControlConfig`) closes the
+    control loop inside the router core.  Offered bytes count every
+    generated packet: throttled ones bin as offered-but-undelivered and
+    are added to the byte totals as losses, so the delivered fraction
+    is measured against the original offer, never a throttle-shrunk
+    one.
 
     ``telemetry`` (a :class:`~repro.telemetry.MetricsRegistry`)
     instruments the run; the fault schedule's windows are tagged onto
@@ -275,52 +280,49 @@ def measure_degradation(
     """
     if options is None:
         options = PFIOptions(padding=True, bypass=True)
-    if workload is not None:
-        if packets is not None:
-            raise ConfigError("pass either workload= or packets=, not both")
-        return _measure_degradation_stream(
-            config,
-            workload,
-            schedule=schedule,
-            load=load,
-            duration_ns=duration_ns,
-            seed=seed,
-            n_intervals=n_intervals,
-            options=options,
-            round_robin_fibers=round_robin_fibers,
-            telemetry=telemetry,
-        )
-    if packets is None:
+    if n_intervals <= 0:
+        raise ConfigError(f"n_intervals must be positive, got {n_intervals}")
+    loop = None
+    if control is not None:
+        from ..control.loop import ControlLoop
+
+        loop = ControlLoop.for_router(control, config, telemetry=telemetry)
+    router = SplitParallelSwitch(config, options=options)
+    if workload is None:
         packets = router_fault_traffic(
             config, load=load, duration_ns=duration_ns, seed=seed
         )
-    fibers = (
-        deterministic_fibers(packets, config.fibers_per_ribbon)
-        if round_robin_fibers
-        else None
-    )
-    router = SplitParallelSwitch(config, options=options)
-    report: RouterReport = router.run(
-        packets,
-        duration_ns,
-        fibers=fibers,
-        fault_schedule=schedule,
-        mode="sequential",
-        telemetry=telemetry,
-    )
+        report: RouterReport = router.run(
+            packets,
+            duration_ns,
+            fibers=deterministic_fibers(packets, config.fibers_per_ribbon),
+            fault_schedule=schedule,
+            mode="sequential",
+            telemetry=telemetry,
+            control=loop,
+        )
+        intervals = bin_packets(packets, duration_ns, n_intervals)
+    else:
+        report, intervals = _run_stream_binned(
+            router, config, workload, schedule, load, duration_ns, seed,
+            n_intervals, telemetry, loop,
+        )
+    throttled = int(round(loop.throttled_bytes)) if loop is not None else 0
     return DegradationReport(
         duration_ns=duration_ns,
-        intervals=bin_packets(packets, duration_ns, n_intervals),
-        offered_bytes=report.offered_bytes,
+        intervals=intervals,
+        offered_bytes=report.offered_bytes + throttled,
         delivered_bytes=report.delivered_bytes,
-        lost_bytes=report.lost_bytes,
+        lost_bytes=report.lost_bytes + throttled,
         residual_bytes=report.residual_bytes,
         failed_switches=list(report.failed_switches),
         fault_events=list(report.fault_events),
+        control=loop.summary() if loop is not None else None,
     )
 
 
-def _measure_degradation_stream(
+def _run_stream_binned(
+    router: SplitParallelSwitch,
     config: RouterConfig,
     workload: str,
     schedule: Optional[FaultSchedule],
@@ -328,10 +330,9 @@ def _measure_degradation_stream(
     duration_ns: float,
     seed: int,
     n_intervals: int,
-    options: PFIOptions,
-    round_robin_fibers: bool,
     telemetry,
-) -> DegradationReport:
+    loop,
+) -> Tuple[RouterReport, List[IntervalSample]]:
     """The bounded-memory degradation path: bin at the block boundary.
 
     Offered bytes are attributed per block as it is offered (arrival
@@ -344,8 +345,6 @@ def _measure_degradation_stream(
     """
     from ..traffic.stream import workload_source
 
-    if n_intervals <= 0:
-        raise ConfigError(f"n_intervals must be positive, got {n_intervals}")
     source = workload_source(
         workload,
         n_ports=config.n_ribbons,
@@ -370,42 +369,32 @@ def _measure_degradation_stream(
             packet.size_bytes
         )
 
-    fibers_fn = None
-    if round_robin_fibers:
-        counters: dict = {}
+    counters: dict = {}
 
-        def fibers_fn(packets, block):
-            fibers = []
-            for packet in packets:
-                count = counters.get(packet.input_port, 0)
-                fibers.append(count % config.fibers_per_ribbon)
-                counters[packet.input_port] = count + 1
-            return fibers
+    def fibers_fn(packets, block):
+        fibers = []
+        for packet in packets:
+            count = counters.get(packet.input_port, 0)
+            fibers.append(count % config.fibers_per_ribbon)
+            counters[packet.input_port] = count + 1
+        return fibers
 
-    router = SplitParallelSwitch(config, options=options)
-    report: RouterReport = router.run_stream(
+    report = router.run_stream(
         binned_blocks(),
         duration_ns,
         fibers_fn=fibers_fn,
         fault_schedule=schedule,
         telemetry=telemetry,
         departure_sink=departure_sink,
+        control=loop,
     )
-    return DegradationReport(
-        duration_ns=duration_ns,
-        intervals=[
-            IntervalSample(
-                start_ns=i * width,
-                end_ns=(i + 1) * width,
-                offered_bytes=offered[i],
-                delivered_bytes=delivered[i],
-            )
-            for i in range(n_intervals)
-        ],
-        offered_bytes=report.offered_bytes,
-        delivered_bytes=report.delivered_bytes,
-        lost_bytes=report.lost_bytes,
-        residual_bytes=report.residual_bytes,
-        failed_switches=list(report.failed_switches),
-        fault_events=list(report.fault_events),
-    )
+    intervals = [
+        IntervalSample(
+            start_ns=i * width,
+            end_ns=(i + 1) * width,
+            offered_bytes=offered[i],
+            delivered_bytes=delivered[i],
+        )
+        for i in range(n_intervals)
+    ]
+    return report, intervals

@@ -33,7 +33,11 @@ from typing import List, Tuple
 import numpy as np
 
 from ..adversary.campaign import make_splitter
-from ..adversary.strategies import AttackStrategy, BurstSynchronizedAttack
+from ..adversary.strategies import (
+    AttackStrategy,
+    BurstSynchronizedAttack,
+    attack_windows_for,
+)
 from ..config import RouterConfig
 from ..core.fiber_split import (
     overload_loss_fraction,
@@ -127,7 +131,7 @@ def execute_attack_trial_flow(trial) -> dict:
     port_loads = per_switch_port_loads(splitter, fiber_loads)
     overload = overload_loss_fraction(port_loads, 1.0 / config.n_switches)
 
-    registry = MetricsRegistry() if getattr(trial, "telemetry", False) else None
+    registry = MetricsRegistry() if trial.telemetry else None
     if registry is not None:
         tag_attack_window(
             registry,
@@ -142,12 +146,6 @@ def execute_attack_trial_flow(trial) -> dict:
     components = _strategy_components(
         strategy, config, trial.load, trial.duration_ns
     )
-    control = getattr(trial, "control", None)
-    attack_windows = None
-    if control is not None:
-        from ..control.packet import attack_windows_for
-
-        attack_windows = attack_windows_for(strategy, trial.duration_ns)
     result = simulate_flow_router(
         config,
         components,
@@ -157,8 +155,8 @@ def execute_attack_trial_flow(trial) -> dict:
         splitter=splitter,
         schedule=trial.fault_schedule,
         telemetry=registry,
-        control=control,
-        attack_windows=attack_windows,
+        control=trial.control,
+        attack_windows=attack_windows_for(strategy, trial.duration_ns),
     )
     report = result.report
     offered = report.per_switch_offered_bytes

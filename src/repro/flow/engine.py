@@ -650,11 +650,11 @@ def simulate_flow_router(
     if control is not None:
         from ..control.loop import ControlLoop
 
-        loop = ControlLoop(
+        loop = ControlLoop.for_router(
             control,
-            n_switches,
-            buffer_limit_bytes(config.switch),
+            config,
             telemetry=telemetry,
+            attack_windows=attack_windows or (),
         )
 
     static_shares = None
@@ -682,10 +682,6 @@ def simulate_flow_router(
         next_tick = tick_ns
         tick_offered = np.zeros(n_switches)
         tick_delivered = np.zeros(n_switches)
-        attack_spans = tuple(attack_windows) if attack_windows else ()
-
-        def attack_active_in(start: float, end: float) -> bool:
-            return any(s < end and e > start for s, e in attack_spans)
 
     edges = _segments(duration_ns, extra_edges)
 
@@ -800,15 +796,7 @@ def simulate_flow_router(
             while next_tick < duration_ns - 1e-9 and t1 >= next_tick - 1e-9:
                 backlog_full = np.zeros(n_switches)
                 backlog_full[live_array] = tandem.last_backlog
-                loop.tick(
-                    next_tick,
-                    tick_offered,
-                    tick_delivered,
-                    backlog_full,
-                    attack_active=attack_active_in(
-                        next_tick - tick_ns, next_tick
-                    ),
-                )
+                loop.tick(next_tick, tick_offered, tick_delivered, backlog_full)
                 tick_offered = np.zeros(n_switches)
                 tick_delivered = np.zeros(n_switches)
                 next_tick += tick_ns
@@ -1034,7 +1022,7 @@ def execute_fault_scenario_flow(scenario) -> dict:
         load=scenario.load,
         duration_ns=scenario.duration_ns,
         n_intervals=scenario.n_intervals,
-        control=getattr(scenario, "control", None),
+        control=scenario.control,
     )
     summary = {
         "scenario": scenario.index,

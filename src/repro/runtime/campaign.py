@@ -5,11 +5,9 @@ its cells (:meth:`Campaign.scenarios`) and folds their payloads into a
 result object (:meth:`Campaign.aggregate`), while the runtime owns all
 dispatch, caching, checkpointing and sharding.  The fault Monte-Carlo
 and adversarial campaigns -- which each used to carry their own seeded
-fan-out and pool plumbing -- are the two concrete instances here; their
-legacy entrypoints (``repro.faults.campaign.run_campaign``,
-``repro.adversary.campaign.run_attack_campaign``) survive as
-deprecation shims over these classes and return identical results for
-identical seeds.
+fan-out and pool plumbing -- are the two concrete instances here, and
+:meth:`~repro.runtime.Runtime.run_campaign` is the one way to run
+either.
 """
 
 from __future__ import annotations
@@ -52,9 +50,8 @@ class FaultCampaign:
     """Seeded Monte-Carlo fault campaign as a runtime campaign.
 
     Cell ``i`` draws its schedule from ``default_rng((params.seed, i))``
-    and simulates with traffic seed ``params.seed + i`` -- exactly the
-    legacy ``run_campaign`` recipe, so the aggregate
-    :class:`~repro.faults.campaign.CampaignResult` serialises
+    and simulates with traffic seed ``params.seed + i``, so the
+    aggregate :class:`~repro.faults.campaign.CampaignResult` serialises
     byte-identically for the same ``(config, params)``.
     """
 
@@ -104,8 +101,7 @@ class AttackCampaign:
     """Seeded multi-trial attack campaign as a runtime campaign.
 
     Trial ``i`` derives its traffic and splitter seeds from
-    ``SeedSequence((params.seed, i))`` -- the legacy
-    ``run_attack_campaign`` recipe -- and composes with an optional
+    ``SeedSequence((params.seed, i))`` and composes with an optional
     fault schedule (whole-run deaths via
     :meth:`~repro.faults.FaultSchedule.from_failed_switches`), so the
     aggregate :class:`~repro.adversary.campaign.AttackCampaignResult`

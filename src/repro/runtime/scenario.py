@@ -122,8 +122,8 @@ class Scenario:
     #: ``"trace:<path>"``.  ``None`` keeps the legacy
     #: :class:`~repro.traffic.TrafficGenerator` traffic -- a conditional
     #: digest key, so pre-existing digests are untouched.  Packet
-    #: fidelity and open loop only; the arrivals are consumed as blocks
-    #: (bounded memory) on sequential cells.
+    #: fidelity only; the arrivals are consumed as blocks (bounded
+    #: memory) on sequential and closed-loop cells.
     workload: Optional[str] = None
     #: Free-form cell tag (campaign index); part of the digest because
     #: campaign payloads embed it.
@@ -213,12 +213,6 @@ class Scenario:
                                  "fault_cell", "attack"):
                 raise ConfigError(
                     f"workload is not supported for kind {self.kind!r}"
-                )
-            if self.control is not None:
-                raise ConfigError(
-                    "workload streaming composes with open-loop cells "
-                    "only (the control prepass materializes the packet "
-                    "list)"
                 )
         if self.control is not None:
             from ..control.config import ControlConfig
@@ -367,10 +361,6 @@ def _execute_switch(scenario: Scenario, registry=None, trace=None) -> dict:
     if scenario.fidelity == "flow":
         from ..flow import simulate_flow_switch
 
-        if registry is None and scenario.telemetry:
-            from ..telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
         report = simulate_flow_switch(
             config,
             load=scenario.load,
@@ -383,10 +373,6 @@ def _execute_switch(scenario: Scenario, registry=None, trace=None) -> dict:
             "report": report_to_dict(report),
             "telemetry": registry.to_dict() if registry is not None else None,
         }
-    if registry is None and scenario.telemetry:
-        from ..telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
     telemetry = None
     if registry is not None:
         from ..telemetry import SwitchTelemetry
@@ -429,10 +415,6 @@ def _execute_router(scenario: Scenario, registry=None) -> dict:
     if scenario.fidelity == "flow":
         from ..flow import flow_router_result
 
-        if registry is None and scenario.telemetry:
-            from ..telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
         result = flow_router_result(
             config,
             load=scenario.load,
@@ -450,89 +432,57 @@ def _execute_router(scenario: Scenario, registry=None) -> dict:
         if result.control is not None:
             payload["control"] = result.control
         return payload
-    if registry is None and scenario.telemetry:
-        from ..telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
     router = SplitParallelSwitch(config, options=_options(scenario))
-    if scenario.workload is not None:
-        # Streaming ingest (open loop by validation).  Sequential cells
-        # pull blocks straight through run_stream; parallel cells
-        # materialize once and take the pooled path -- byte-identical
-        # results either way (the repo invariant), so both land on the
-        # same cache entry.
-        source = _workload_source(
-            scenario,
-            config.n_ribbons,
-            config.fibers_per_ribbon * config.per_fiber_rate_bps,
-        )
-        if scenario.mode == "sequential":
-            report = router.run_stream(
-                source.blocks(scenario.duration_ns),
-                scenario.duration_ns,
-                drain=scenario.drain,
-                fault_schedule=scenario.schedule,
-                telemetry=registry,
-            )
-        else:
-            report = router.run(
-                source.materialize(scenario.duration_ns),
-                scenario.duration_ns,
-                drain=scenario.drain,
-                fault_schedule=scenario.schedule,
-                mode=scenario.mode,
-                n_workers=scenario.workers,
-                telemetry=registry,
-            )
-        return {
-            "report": report_to_dict(report),
-            "telemetry": registry.to_dict() if registry is not None else None,
-        }
-    generator = TrafficGenerator(
-        n_ports=config.n_ribbons,
-        port_rate_bps=config.fibers_per_ribbon * config.per_fiber_rate_bps,
-        matrix=uniform_matrix(config.n_ribbons, scenario.load),
-        size_dist=_size_dist(scenario),
-        process=ArrivalProcess(scenario.process),
-        seed=scenario.seed,
-    )
-    packets = generator.materialize(scenario.duration_ns)
-    control_summary = None
-    fibers = None
+    loop = None
     if scenario.control is not None:
-        from ..control.packet import packet_control_prepass
-        from ..core.sps import assign_fibers
+        from ..control.loop import ControlLoop
 
-        fibers = assign_fibers(packets, config.fibers_per_ribbon)
-        fibers, throttled, loop = packet_control_prepass(
-            config,
-            scenario.control,
-            packets,
-            fibers,
-            router.splitter,
+        loop = ControlLoop.for_router(scenario.control, config, telemetry=registry)
+    port_rate_bps = config.fibers_per_ribbon * config.per_fiber_rate_bps
+    source = None
+    if scenario.workload is not None:
+        source = _workload_source(scenario, config.n_ribbons, port_rate_bps)
+    if source is not None and (scenario.mode == "sequential" or loop is not None):
+        # Streaming ingest: blocks go straight through run_stream.
+        # Parallel open-loop cells materialize once and take the pooled
+        # path instead -- byte-identical results either way (the repo
+        # invariant), so both land on the same cache entry.
+        report = router.run_stream(
+            source.blocks(scenario.duration_ns),
             scenario.duration_ns,
-            schedule=scenario.schedule,
+            drain=scenario.drain,
+            fault_schedule=scenario.schedule,
             telemetry=registry,
+            control=loop,
         )
-        packets = [p for p, t in zip(packets, throttled) if not t]
-        fibers = [f for f, t in zip(fibers, throttled) if not t]
-        control_summary = loop.summary()
-    report = router.run(
-        packets,
-        scenario.duration_ns,
-        fibers=fibers,
-        drain=scenario.drain,
-        fault_schedule=scenario.schedule,
-        mode=scenario.mode,
-        n_workers=scenario.workers,
-        telemetry=registry,
-    )
+    else:
+        if source is not None:
+            packets = source.materialize(scenario.duration_ns)
+        else:
+            packets = TrafficGenerator(
+                n_ports=config.n_ribbons,
+                port_rate_bps=port_rate_bps,
+                matrix=uniform_matrix(config.n_ribbons, scenario.load),
+                size_dist=_size_dist(scenario),
+                process=ArrivalProcess(scenario.process),
+                seed=scenario.seed,
+            ).materialize(scenario.duration_ns)
+        report = router.run(
+            packets,
+            scenario.duration_ns,
+            drain=scenario.drain,
+            fault_schedule=scenario.schedule,
+            mode=scenario.mode,
+            n_workers=scenario.workers,
+            telemetry=registry,
+            control=loop,
+        )
     payload = {
         "report": report_to_dict(report),
         "telemetry": registry.to_dict() if registry is not None else None,
     }
-    if control_summary is not None:
-        payload["control"] = control_summary
+    if loop is not None:
+        payload["control"] = loop.summary()
     return payload
 
 
@@ -542,10 +492,6 @@ def _execute_degradation(scenario: Scenario, registry=None) -> dict:
     if scenario.fidelity == "flow":
         from ..flow import flow_degradation
 
-        if registry is None and scenario.telemetry:
-            from ..telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
         report = flow_degradation(
             scenario.config,
             schedule=scenario.schedule,
@@ -554,28 +500,6 @@ def _execute_degradation(scenario: Scenario, registry=None) -> dict:
             n_intervals=scenario.n_intervals,
             telemetry=registry,
             control=scenario.control,
-        )
-        return {
-            "report": report.to_dict(),
-            "telemetry": registry.to_dict() if registry is not None else None,
-        }
-    if registry is None and scenario.telemetry:
-        from ..telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
-    if scenario.control is not None:
-        from ..control.packet import measure_degradation_controlled
-
-        report, _ = measure_degradation_controlled(
-            scenario.config,
-            scenario.control,
-            schedule=scenario.schedule,
-            load=scenario.load,
-            duration_ns=scenario.duration_ns,
-            seed=scenario.seed,
-            n_intervals=scenario.n_intervals,
-            options=_options(scenario),
-            telemetry=registry,
         )
     else:
         report = measure_degradation(
@@ -588,6 +512,7 @@ def _execute_degradation(scenario: Scenario, registry=None) -> dict:
             options=_options(scenario),
             telemetry=registry,
             workload=scenario.workload,
+            control=scenario.control,
         )
     return {
         "report": report.to_dict(),
@@ -653,10 +578,6 @@ def _execute_fabric(scenario: Scenario, registry=None) -> dict:
     from ..fabric.engine import simulate_fabric
     from ..reporting import report_to_dict
 
-    if registry is None and scenario.telemetry:
-        from ..telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
     report = simulate_fabric(
         scenario.config,
         scenario.topology,
@@ -695,6 +616,14 @@ def execute_scenario(scenario: Scenario, registry=None, trace=None) -> dict:
     - ``fault_cell``/``attack`` -- the flat campaign-member dict the
       campaign aggregators have always consumed.
     """
+    if (
+        registry is None
+        and scenario.telemetry
+        and scenario.kind in ("switch", "router", "degradation", "fabric")
+    ):
+        from ..telemetry import MetricsRegistry
+
+        registry = MetricsRegistry()
     if scenario.kind == "switch":
         return _execute_switch(scenario, registry=registry, trace=trace)
     if scenario.kind == "router":

@@ -17,7 +17,6 @@ from repro.adversary import (
     make_splitter,
     make_strategy,
     probe_loss,
-    run_attack_campaign,
     seed_sensitivity_sweep,
     trial_seeds,
     weighted_fibers,
@@ -25,6 +24,8 @@ from repro.adversary import (
 from repro.config import scaled_router
 from repro.core.fiber_split import ContiguousSplitter, PseudoRandomSplitter
 from repro.errors import ConfigError
+from repro.faults import FaultSchedule
+from repro.runtime import AttackCampaign, Runtime
 
 
 def small_router(n_ribbons=4, n_switches=4):
@@ -223,8 +224,12 @@ class TestCampaign:
             seed=5,
             duration_ns=2_000.0,
         )
-        a = run_attack_campaign(config, params)
-        b = run_attack_campaign(config, params)
+        a = Runtime().run_campaign(
+            AttackCampaign(config=config, params=params)
+        )
+        b = Runtime().run_campaign(
+            AttackCampaign(config=config, params=params)
+        )
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
             b.to_dict(), sort_keys=True
         )
@@ -239,8 +244,12 @@ class TestCampaign:
             duration_ns=2_000.0,
             telemetry=True,
         )
-        seq = run_attack_campaign(config, params, n_workers=1)
-        par = run_attack_campaign(config, params, n_workers=3)
+        seq = Runtime(n_workers=1).run_campaign(
+            AttackCampaign(config=config, params=params)
+        )
+        par = Runtime(n_workers=3).run_campaign(
+            AttackCampaign(config=config, params=params)
+        )
         assert json.dumps(seq.to_dict(), sort_keys=True) == json.dumps(
             par.to_dict(), sort_keys=True
         )
@@ -279,7 +288,9 @@ class TestCampaign:
             seed=3,
             duration_ns=5_000.0,
         )
-        result = run_attack_campaign(config, params)
+        result = Runtime().run_campaign(
+            AttackCampaign(config=config, params=params)
+        )
         for trial in result.trials:
             assert trial["sim_victim_gain"] == pytest.approx(
                 trial["victim_gain"], rel=0.05
@@ -294,8 +305,16 @@ class TestCampaign:
             seed=3,
             duration_ns=2_000.0,
         )
-        clean = run_attack_campaign(config, params)
-        faulted = run_attack_campaign(config, params, failed_switches=[0])
+        clean = Runtime().run_campaign(
+            AttackCampaign(config=config, params=params)
+        )
+        faulted = Runtime().run_campaign(
+            AttackCampaign(
+                config=config,
+                params=params,
+                fault_schedule=FaultSchedule.from_failed_switches([0]),
+            )
+        )
         assert faulted.trials[0]["fault_events"]
         # Killing the victim switch: its offered traffic is lost.
         assert (
@@ -304,7 +323,7 @@ class TestCampaign:
         )
 
     def test_composes_with_fault_schedule(self):
-        from repro.faults import FaultSchedule, SwitchFailure
+        from repro.faults import SwitchFailure
 
         config = small_router()
         schedule = FaultSchedule(
@@ -317,7 +336,9 @@ class TestCampaign:
             seed=1,
             duration_ns=2_000.0,
         )
-        result = run_attack_campaign(config, params, fault_schedule=schedule)
+        result = Runtime().run_campaign(
+            AttackCampaign(config=config, params=params, fault_schedule=schedule)
+        )
         assert all(t["fault_events"] for t in result.trials)
 
     def test_compare_splitters_exposure_ratio(self):
@@ -344,7 +365,9 @@ class TestCampaign:
             seed=0,
             duration_ns=2_000.0,
         )
-        result = run_attack_campaign(config, params)
+        result = Runtime().run_campaign(
+            AttackCampaign(config=config, params=params)
+        )
         json.dumps(result.to_dict())  # must not raise
 
     def test_param_validation(self):
@@ -380,7 +403,9 @@ class TestTelemetryIntegration:
             duration_ns=2_000.0,
             telemetry=True,
         )
-        result = run_attack_campaign(config, params)
+        result = Runtime().run_campaign(
+            AttackCampaign(config=config, params=params)
+        )
         assert result.telemetry is not None
         names = {m["name"] for m in result.telemetry["metrics"]}
         assert "repro_attack_active_window" in names

@@ -34,9 +34,16 @@ from repro.control import (
     validate_control_actions,
 )
 from repro.errors import ConfigError
-from repro.faults import CampaignParams, FaultSchedule, SwitchFailure
+from repro.faults import (
+    CampaignParams,
+    FaultSchedule,
+    SwitchFailure,
+    measure_degradation,
+)
 from repro.flow import flow_degradation, flow_router_result
+from repro.reporting import report_to_json
 from repro.runtime import FaultCampaign, Runtime, Scenario
+from repro.runtime.scenario import execute_scenario
 from repro.telemetry import ewma_step
 
 
@@ -271,24 +278,42 @@ class TestClosedLoopRuns:
         assert kinds[0] == "control_start" and kinds[-1] == "control_finish"
         assert "state_change" in kinds
 
-    def test_throttling_never_shrinks_the_offer(self):
+    @pytest.mark.parametrize("fidelity", ["flow", "packet"])
+    def test_throttling_never_shrinks_the_offer(self, fidelity):
         # Closed- and open-loop runs of the same scenario must account
         # the same offered bytes: throttled traffic is a drop reason,
-        # not a vanishing act.
+        # not a vanishing act.  The admission controller here is RED
+        # from the first tick, so the closed loop really throttles.
         config = small_router()
         schedule = FaultSchedule(
             [SwitchFailure(switch=0, start_ns=5_000.0, end_ns=15_000.0)]
         )
-        open_report = flow_degradation(
+        control = ControlConfig(
+            admission=ControllerParams(
+                yellow=0.0, soft_red=0.0, red=0.0, floor=0.2
+            )
+        )
+        measure = flow_degradation if fidelity == "flow" else measure_degradation
+        open_report = measure(
             config, schedule=schedule, load=0.6, duration_ns=20_000.0
         )
-        closed_report = flow_degradation(
+        closed_report = measure(
             config, schedule=schedule, load=0.6, duration_ns=20_000.0,
-            control=ControlConfig(),
+            control=control,
         )
         assert closed_report.offered_bytes == open_report.offered_bytes
         assert closed_report.control is not None
         assert open_report.control is None
+        throttled = closed_report.control["throttled_bytes"]
+        assert throttled > 0
+        if fidelity == "packet":
+            # Integer ledger: throttled bytes are inside ``lost``.
+            assert closed_report.offered_bytes == (
+                closed_report.delivered_bytes
+                + closed_report.lost_bytes
+                + closed_report.residual_bytes
+            )
+            assert closed_report.lost_bytes >= throttled
 
     def test_open_loop_payload_shape_unchanged(self):
         # The control key is absent -- not None -- on open-loop reports,
@@ -296,6 +321,109 @@ class TestClosedLoopRuns:
         config = small_router()
         report = flow_degradation(config, load=0.6, duration_ns=10_000.0)
         assert "control" not in report.to_dict()
+
+
+class TestPacketClosedLoop:
+    """At packet fidelity the loop ticks inside the router core."""
+
+    SCHEDULE = FaultSchedule(
+        [SwitchFailure(switch=1, start_ns=3_000.0, end_ns=7_000.0)]
+    )
+
+    def test_router_cell_parallel_equals_sequential(self):
+        cells = [
+            Scenario(
+                kind="router",
+                config=small_router(),
+                load=0.8,
+                duration_ns=10_000.0,
+                schedule=self.SCHEDULE,
+                telemetry=True,
+                control=ControlConfig(),
+                mode=mode,
+                workers=2,
+            )
+            for mode in ("sequential", "parallel")
+        ]
+        seq, par = (execute_scenario(cell) for cell in cells)
+        assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
+        assert seq["control"]["ticks"] == 9
+
+    def test_streamed_ticks_match_eager(self):
+        # The same arrivals cut into blocks or offered as one list tick
+        # at the same instants on the same signals.
+        from repro.core import SplitParallelSwitch
+        from repro.traffic.stream import workload_source
+
+        config = small_router()
+
+        def run(streamed):
+            source = workload_source(
+                "pareto",
+                n_ports=config.n_ribbons,
+                port_rate_bps=config.fibers_per_ribbon
+                * config.per_fiber_rate_bps,
+                load=0.7,
+                seed=3,
+                duration_ns=10_000.0,
+            )
+            loop = ControlLoop.for_router(ControlConfig(), config)
+            router = SplitParallelSwitch(config)
+            if streamed:
+                report = router.run_stream(
+                    source.blocks(10_000.0), 10_000.0,
+                    fault_schedule=self.SCHEDULE, control=loop,
+                )
+            else:
+                report = router.run(
+                    source.materialize(10_000.0), 10_000.0,
+                    fault_schedule=self.SCHEDULE, control=loop,
+                )
+            return report_to_json(report), loop.log.dumps()
+
+        assert run(streamed=True) == run(streamed=False)
+
+    def test_streamed_fault_cell_is_deterministic_and_balanced(self):
+        config = small_router()
+        cell = Scenario(
+            kind="fault_cell",
+            config=config,
+            schedule=self.SCHEDULE,
+            load=0.6,
+            duration_ns=10_000.0,
+            seed=5,
+            n_intervals=4,
+            workload="pareto",
+            control=ControlConfig(),
+        )
+        first, second = (execute_scenario(cell) for _ in range(2))
+        assert json.dumps(first, sort_keys=True) == json.dumps(
+            second, sort_keys=True
+        )
+        assert first["control"]["ticks"] == 9
+        report = measure_degradation(
+            config,
+            schedule=self.SCHEDULE,
+            load=0.6,
+            duration_ns=10_000.0,
+            seed=5,
+            n_intervals=4,
+            workload="pareto",
+            control=ControlConfig(),
+        )
+        assert (
+            report.offered_bytes,
+            report.delivered_bytes,
+            report.lost_bytes,
+        ) == (
+            first["offered_bytes"],
+            first["delivered_bytes"],
+            first["lost_bytes"],
+        )
+        assert report.offered_bytes > 0
+        assert report.offered_bytes == (
+            report.delivered_bytes + report.lost_bytes + report.residual_bytes
+        )
 
 
 class TestDigestsAndCaching:
@@ -402,3 +530,19 @@ class TestControllerValue:
         # Reweighting spreads the burst: the victim's offered-share
         # gain must not grow under control.
         assert result["victim_gain"]["delta_mean"] <= 1e-9
+
+    def test_attack_campaign_delta_positive_packet(self):
+        result = compare_attack_loops(
+            small_router(),
+            AttackCampaignParams(
+                strategy=BurstSynchronizedAttack(),
+                n_trials=3,
+                seed=3,
+                load=0.8,
+                duration_ns=20_000.0,
+            ),
+            fidelity="packet",
+        )
+        block = result["delivered_fraction"]
+        assert block["delta_mean"] > 0
+        assert block["delta_min"] >= -1e-9

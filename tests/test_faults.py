@@ -32,9 +32,9 @@ from repro.faults import (
     parse_fault_event,
     parse_fault_specs,
     router_fault_traffic,
-    run_campaign,
 )
 from repro.reporting import report_to_json
+from repro.runtime import FaultCampaign, Runtime
 
 DURATION = 20_000.0
 
@@ -346,18 +346,22 @@ class TestCampaign:
         params = CampaignParams(
             n_scenarios=4, seed=11, duration_ns=8_000.0, n_intervals=2
         )
-        first = run_campaign(h4_router, params)
-        second = run_campaign(h4_router, params)
+        campaign = FaultCampaign(config=h4_router, params=params)
+        first = Runtime().run_campaign(campaign)
+        second = Runtime().run_campaign(campaign)
         assert first.to_dict() == second.to_dict()
 
     def test_campaign_seeds_differ(self, h4_router):
-        a = run_campaign(
-            h4_router,
-            CampaignParams(n_scenarios=3, seed=1, duration_ns=8_000.0, n_intervals=2),
-        )
-        b = run_campaign(
-            h4_router,
-            CampaignParams(n_scenarios=3, seed=2, duration_ns=8_000.0, n_intervals=2),
+        a, b = (
+            Runtime().run_campaign(
+                FaultCampaign(
+                    config=h4_router,
+                    params=CampaignParams(
+                        n_scenarios=3, seed=seed, duration_ns=8_000.0, n_intervals=2
+                    ),
+                )
+            )
+            for seed in (1, 2)
         )
         schedules_a = [s["fault_events"] for s in a.scenarios]
         schedules_b = [s["fault_events"] for s in b.scenarios]
@@ -375,7 +379,9 @@ class TestCampaign:
             oeo_mtbf_ns=inf,
             fiber_mtbf_ns=inf,
         )
-        result = run_campaign(h4_router, params)
+        result = Runtime().run_campaign(
+            FaultCampaign(config=h4_router, params=params)
+        )
         assert result.n_faulted == 0
         assert all(s["delivered_fraction"] > 0.95 for s in result.scenarios)
 

@@ -398,45 +398,7 @@ class TestCampaignProtocol:
 
 
 class TestDeprecationShims:
-    def test_fault_campaign_shim_warns_and_matches(self):
-        from repro.faults.campaign import CampaignParams, run_campaign
-
-        config = scaled_router()
-        params = CampaignParams(n_scenarios=2, duration_ns=4_000.0, seed=5)
-        with pytest.warns(DeprecationWarning, match="run_campaign is deprecated"):
-            legacy = run_campaign(config, params)
-        modern = Runtime().run_campaign(FaultCampaign(config=config, params=params))
-        assert type(legacy) is type(modern)
-        assert json.dumps(legacy.to_dict(), sort_keys=True) == json.dumps(
-            modern.to_dict(), sort_keys=True
-        )
-
-    def test_attack_campaign_shim_warns_and_matches(self):
-        from repro.adversary.campaign import (
-            AttackCampaignParams,
-            run_attack_campaign,
-        )
-        from repro.adversary.strategies import make_strategy
-
-        config = scaled_router(fibers_per_ribbon=8, n_switches=2)
-        params = AttackCampaignParams(
-            strategy=make_strategy("known-assignment"),
-            splitter="contiguous",
-            n_trials=2,
-            seed=4,
-            duration_ns=3_000.0,
-            telemetry=True,
-        )
-        with pytest.warns(DeprecationWarning, match="run_attack_campaign is deprecated"):
-            legacy = run_attack_campaign(config, params)
-        modern = Runtime().run_campaign(
-            AttackCampaign(config=config, params=params)
-        )
-        assert type(legacy) is type(modern)
-        assert json.dumps(legacy.to_dict(), sort_keys=True) == json.dumps(
-            modern.to_dict(), sort_keys=True
-        )
-        assert legacy.telemetry == modern.telemetry
+    """The campaign shims are gone; what replaced them must not warn."""
 
     def test_compare_splitters_does_not_warn(self, recwarn):
         import warnings
